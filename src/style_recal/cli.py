@@ -82,10 +82,10 @@ def _set_threads(n: int | None) -> None:
         return
     try:
         import threadpoolctl
-
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:  # best effort; numpy may already be pinned via env vars
-        pass
+    except ImportError as exc:
+        raise UsageError("--threads needs threadpoolctl; install the 'threads' extra "
+                         "(pip install 'style-recal[threads]')") from exc
+    threadpoolctl.threadpool_limits(n)
 
 
 def _write_manifest(out: Path, command: str, resolved: dict) -> None:

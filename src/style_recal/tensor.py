@@ -344,11 +344,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    mask = a.data > 0
-    out = np.where(mask, a.data, 0)
+    # fmax(x, 0) equals where(x > 0, x, 0) bit for bit (NaN -> 0, -0.0 -> +0.0).
+    out = np.fmax(a.data, 0)
 
     def backward(g):
-        return (g * mask,)
+        return (g * (out > 0),)
 
     return _make(out, (a,), backward)
 
@@ -481,12 +481,15 @@ def scale_channels(x: Tensor, g: Tensor) -> Tensor:
 def _im2col(x: np.ndarray, k: int, stride: int, padding: int):
     """Lower NCHW patches to a (C*k*k, N*Ho*Wo) matrix for a single gemm."""
     n, c, h, w = x.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    hp, wp = x.shape[2], x.shape[3]
+        # One pass writes the zero-padded copy straight into channel-major order.
+        xt = np.zeros((c, n, hp, wp), dtype=x.dtype)
+        xt[:, :, padding : padding + h, padding : padding + w] = x.transpose(1, 0, 2, 3)
+    else:
+        xt = x.transpose(1, 0, 2, 3)
     ho = (hp - k) // stride + 1
     wo = (wp - k) // stride + 1
-    xt = x.transpose(1, 0, 2, 3)
     cols = np.empty((c, k, k, n, ho, wo), dtype=x.dtype)
     for i in range(k):
         for j in range(k):
@@ -497,8 +500,11 @@ def _im2col(x: np.ndarray, k: int, stride: int, padding: int):
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of an NCHW input with an OIkk weight, no bias.
 
-    Lowered to a patch-matrix (im2col) multiply; the gradient reuses the saved
-    patch matrix for the weight and scatters patch columns back for the input.
+    Lowered to a patch-matrix (im2col) multiply. The weight gradient reuses the
+    saved patch matrix. For stride 1 with ``padding <= k - 1`` the input
+    gradient is the same lowering applied to the output gradient, padded by
+    ``k - 1 - padding`` and correlated with the flipped, in/out-swapped kernel;
+    otherwise patch-column gradients are scattered back onto the input.
     """
     x = _as_tensor(x)
     weight = _as_tensor(weight)
@@ -523,7 +529,12 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
 
     def backward(g):
         g2 = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(cout, n * ho * wo)
-        gw = (g2 @ cols.T).reshape(weight.shape)
+        gw = (cols @ g2.T).T.reshape(weight.shape)
+        if stride == 1 and padding <= k - 1:
+            wf = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
+            gcols, _, _ = _im2col(g, k, 1, k - 1 - padding)
+            gx = np.ascontiguousarray((wf @ gcols).reshape(cin, n, h, w).transpose(1, 0, 2, 3))
+            return gx, gw
         gcols = (w2.T @ g2).reshape(cin, k, k, n, ho, wo)
         hp, wp = h + 2 * padding, w + 2 * padding
         gxt = np.zeros((cin, n, hp, wp), dtype=g.dtype)
@@ -585,22 +596,27 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ..
     """
     x = _as_tensor(x)
     stat_shape = tuple(1 if ax in axes else x.shape[ax] for ax in range(x.ndim))
+    m = math.prod(x.shape[ax] for ax in axes)
     mu = x.data.mean(axis=axes, keepdims=True)
-    diff = x.data - mu
-    var = (diff * diff).mean(axis=axes, keepdims=True)
+    xhat = x.data - mu
+    out = np.multiply(xhat, xhat)  # the buffer of squares is reused for the output
+    var = out.mean(axis=axes, keepdims=True)
     sigma = np.sqrt(var + eps)
-    xhat = diff / sigma
+    xhat /= sigma
     gb = gamma.data.reshape(stat_shape)
-    out = xhat * gb + beta.data.reshape(stat_shape)
+    np.multiply(xhat, gb, out=out)
+    out += beta.data.reshape(stat_shape)
 
     def backward(g):
-        gxh = g * gb
-        mean_gxh = gxh.mean(axis=axes, keepdims=True)
-        mean_gxh_xhat = (gxh * xhat).mean(axis=axes, keepdims=True)
-        gx = (gxh - mean_gxh - xhat * mean_gxh_xhat) / sigma
-        ggamma = (g * xhat).sum(axis=axes).reshape(gamma.shape)
-        gbeta = g.sum(axis=axes).reshape(beta.shape)
-        return gx, ggamma, gbeta
+        # gx = gamma/sigma * (g - sum(g)/m - xhat * sum(g*xhat)/m), one full-size temporary.
+        gx = np.multiply(g, xhat)
+        ggamma = gx.sum(axis=axes, keepdims=True)
+        gbeta = g.sum(axis=axes, keepdims=True)
+        np.multiply(xhat, ggamma / m, out=gx)
+        np.subtract(g, gx, out=gx)
+        gx -= gbeta / m
+        gx *= gb / sigma
+        return gx, ggamma.reshape(gamma.shape), gbeta.reshape(beta.shape)
 
     out_t = _make(out, (x, gamma, beta), backward)
     return out_t, mu.reshape(-1), var.reshape(-1)

@@ -176,16 +176,17 @@ class TestTopActivated:
         assert top_overlap(rec, (0, 0), k=1) == 1.0
 
 
-class TestPruning:
-    @pytest.fixture(scope="class")
-    def setup(self):
-        model = small_model(seed=1)
-        data = shuffled_subset(synth_style(SynthStyleSpec(seed=5, per_class=16, size=8)), 32)
-        model.eval()
-        return model, data
+@pytest.fixture(scope="module")
+def pruning_setup():
+    model = small_model(seed=1)
+    data = shuffled_subset(synth_style(SynthStyleSpec(seed=5, per_class=16, size=8)), 32)
+    model.eval()
+    return model, data
 
-    def test_ratio_zero_reproduces_plain_eval(self, setup):
-        model, data = setup
+
+class TestPruning:
+    def test_ratio_zero_reproduces_plain_eval(self, pruning_setup):
+        model, data = pruning_setup
         assert prune_eval(model, data, stage=0, ratio=0.0) == evaluate(model, data)
 
     def test_floor_counting(self):
@@ -206,8 +207,8 @@ class TestPruning:
         out = prune_gate_transform(0, 1.0)(1, 0, g)
         np.testing.assert_array_equal(out, g)
 
-    def test_stage_without_recalib_rejected(self, setup):
-        _, data = setup
+    def test_stage_without_recalib_rejected(self, pruning_setup):
+        _, data = pruning_setup
         bare = small_model(recalib=None)
         bare.eval()
         with pytest.raises(ValueError, match="no recalibration"):
@@ -217,8 +218,8 @@ class TestPruning:
         with pytest.raises(ValueError, match="ratio"):
             prune_gate_transform(0, 1.5)
 
-    def test_ratio_one_identity_stage_tensor_equality(self, setup):
-        model, data = setup
+    def test_ratio_one_identity_stage_tensor_equality(self, pruning_setup):
+        model, data = pruning_setup
         # Stage 0 blocks all have identity shortcuts; with every gate zeroed the
         # residual branch vanishes and relu(input) == input for post-relu maps.
         x = Tensor(data.images[:8])

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -75,6 +76,12 @@ class TestExitCodes:
         monkeypatch.delenv("STYLE_RECAL_DATA", raising=False)
         rc = main(["eval", "--arch", "resnet20", "--ckpt", str(tmp_path / "no.bin")])
         assert rc == 2
+
+    def test_threads_without_threadpoolctl_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import now raises ImportError
+        rc = main(["complexity", "--arch", "resnet20", "--threads", "2"])
+        assert rc == 2
+        assert "'threads' extra" in capsys.readouterr().err
 
 
 class TestComplexityCommand:

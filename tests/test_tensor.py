@@ -53,6 +53,25 @@ class TestConv2d:
         rel = np.abs(got - want) / np.maximum(np.abs(want), 1e-12)
         assert rel.max() < 1e-6
 
+    # (1,1,0) .. (7,1,3): stride-1 correlation path; (3,2,1), (1,2,0), (7,2,3): strided
+    # scatter path; (3,1,3): padding >= k falls back to the scatter at stride 1.
+    @pytest.mark.parametrize("k,stride,padding", [
+        (1, 1, 0), (3, 1, 0), (3, 1, 1), (3, 1, 2), (5, 1, 2), (7, 1, 3),
+        (3, 2, 1), (1, 2, 0), (7, 2, 3), (3, 1, 3),
+    ])
+    def test_gradients_match_finite_differences(self, k, stride, padding):
+        with using_dtype(np.float64):
+            rng = np.random.default_rng(k * 100 + stride * 10 + padding)
+            x = Tensor(rng.normal(size=(2, 2, 6, 5)), dtype=np.float64)
+            w = Tensor(rng.normal(size=(3, 2, k, k)), dtype=np.float64)
+            err = grad_check(
+                lambda ts: T.tsum(T.mul(T.conv2d(ts[0], ts[1], stride, padding),
+                                        T.conv2d(ts[0], ts[1], stride, padding))),
+                [x, w],
+                eps=1e-5,
+            )
+            assert err < 1e-4
+
     def test_shape_mismatch_names_both_shapes(self):
         x = Tensor(np.zeros((1, 2, 4, 4)))
         w = Tensor(np.zeros((3, 5, 3, 3)))
@@ -103,6 +122,74 @@ class TestElementwiseAndReductions:
         rng = np.random.default_rng(11)
         x = Tensor(rng.normal(size=(3, 4, 5, 5)))
         assert (T.amax(x, axis=(2, 3)).data >= T.tmean(x, axis=(2, 3)).data).all()
+
+
+class TestReluOracle:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_where(self, dtype):
+        sub, tiny = np.finfo(dtype).smallest_subnormal, np.finfo(dtype).tiny
+        x = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, sub, -sub, 3 * sub, tiny, -tiny, 1.5, -2.5],
+                     dtype=dtype)
+        want = np.where(x > 0, x, 0)
+        x_t = Tensor(x.copy(), requires_grad=True)
+        with Tape() as tape:
+            out = T.relu(x_t)
+            loss = T.tsum(T.mul(out, Tensor(np.arange(1, x.size + 1, dtype=dtype))))
+        assert out.data.dtype == want.dtype
+        assert out.data.tobytes() == want.tobytes()  # NaN -> 0 and -0.0 -> +0.0, like where
+        tape.backward(loss)
+        np.testing.assert_array_equal(x_t.grad, np.arange(1, x.size + 1, dtype=dtype) * (x > 0))
+
+
+def _batch_norm_oracle(x, gamma, beta, axes, eps):
+    """The direct batch-norm formulas: forward, and backward through g * gamma."""
+    stat_shape = tuple(1 if ax in axes else x.shape[ax] for ax in range(x.ndim))
+    mu = x.mean(axis=axes, keepdims=True)
+    diff = x - mu
+    var = (diff * diff).mean(axis=axes, keepdims=True)
+    sigma = np.sqrt(var + eps)
+    xhat = diff / sigma
+    gb = gamma.reshape(stat_shape)
+    out = xhat * gb + beta.reshape(stat_shape)
+
+    def backward(g):
+        gxh = g * gb
+        mean_gxh = gxh.mean(axis=axes, keepdims=True)
+        mean_gxh_xhat = (gxh * xhat).mean(axis=axes, keepdims=True)
+        gx = (gxh - mean_gxh - xhat * mean_gxh_xhat) / sigma
+        return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+    return out, mu.reshape(-1), var.reshape(-1), backward
+
+
+class TestBatchNormOracle:
+    @pytest.mark.parametrize("shape,axes", [((8, 5, 6, 6), (0, 2, 3)), ((16, 7), (0,))])
+    def test_forward_bit_identical_float32(self, shape, axes):
+        rng = np.random.default_rng(21)
+        x = (rng.normal(size=shape) * 3 + 1).astype(np.float32)
+        gamma = rng.normal(size=shape[1]).astype(np.float32)
+        beta = rng.normal(size=shape[1]).astype(np.float32)
+        out, mu, var = T.batch_norm_train(Tensor(x), Tensor(gamma), Tensor(beta), axes, 1e-5)
+        want_out, want_mu, want_var, _ = _batch_norm_oracle(x, gamma, beta, axes, 1e-5)
+        assert out.data.tobytes() == want_out.tobytes()
+        assert mu.tobytes() == want_mu.tobytes()
+        assert var.tobytes() == want_var.tobytes()
+
+    @pytest.mark.parametrize("shape,axes", [((8, 5, 6, 6), (0, 2, 3)), ((16, 7), (0,))])
+    def test_backward_matches_direct_formula_float64(self, shape, axes):
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=shape) * 3 + 1
+        gamma = rng.normal(size=shape[1])
+        beta = rng.normal(size=shape[1])
+        g = rng.normal(size=shape)
+        ts = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+        with Tape() as tape:
+            out, _, _ = T.batch_norm_train(*ts, axes, 1e-5)
+            loss = T.tsum(T.mul(out, Tensor(g)))
+        tape.backward(loss)
+        _, _, _, backward = _batch_norm_oracle(x, gamma, beta, axes, 1e-5)
+        for got, want in zip([t.grad for t in ts], backward(g)):
+            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
 
 class TestTape:
