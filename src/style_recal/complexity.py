@@ -15,14 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .models import (
-    BOTTLENECK_EXPANSION,
-    ArchitectureConfig,
-    BasicBlock,
-    ResNet,
-    StageSpec,
-    build_resnet,
-)
+from .models import BOTTLENECK_EXPANSION, BasicBlock, ResNet, StageSpec
 from .recalib import StyleIntegration
 
 __all__ = [
@@ -85,35 +78,20 @@ def _param_rows(model: ResNet, include_running_stats: bool) -> dict[str, int]:
 
 
 def count_params(model: ResNet, include_running_stats: bool = False) -> ComplexityReport:
-    """Enumerate named parameters (and optionally BN running statistics)."""
-    trainable = sum(p.size for _, p in model.named_parameters())
-    total = trainable
-    if include_running_stats:
-        total += sum(
-            buf.size for name, buf in model.named_buffers() if name.rsplit(".", 1)[-1] in _RUNNING_STAT_NAMES
-        )
-    report = ComplexityReport(
+    """Enumerate named parameters (and optionally BN running statistics).
+
+    ``added_by_recalib`` sums the entries that live under a ``.recalib.``
+    module path, so it needs no second, recalibration-free model.
+    """
+    rows = _param_rows(model, include_running_stats)
+    total = sum(rows.values())
+    return ComplexityReport(
         total_params=total,
-        trainable_params=trainable,
+        trainable_params=sum(p.size for _, p in model.named_parameters()),
+        added_by_recalib=sum(v for path, v in rows.items() if ".recalib." in path + "."),
         include_running_stats=include_running_stats,
-        per_layer=[{"name": k, "params": v} for k, v in _param_rows(model, include_running_stats).items()],
+        per_layer=[{"name": k, "params": v} for k, v in rows.items()],
     )
-    cfg = model.config
-    if cfg.recalib is not None:
-        bare = ArchitectureConfig(
-            stages=cfg.stages,
-            block_kind=cfg.block_kind,
-            recalib=None,
-            num_classes=cfg.num_classes,
-            in_channels=cfg.in_channels,
-            stem=cfg.stem,
-            stem_channels=cfg.stem_channels,
-        )
-        twin = count_params(build_resnet(bare), include_running_stats)
-        report.added_by_recalib = total - twin.total_params
-    else:
-        report.added_by_recalib = 0
-    return report
 
 
 def _conv_out(h: int, k: int, stride: int, padding: int) -> int:

@@ -164,6 +164,33 @@ def default_checks() -> list[CheckCase]:
         x = _t(rng, 2, 3, 4, 4)
         return T.grad_check(lambda ts: _sq_loss(global_pool(ts[0], "max")), [x])
 
+    @op("style_pool_avg_std")
+    def _sp_avg_std(rng):
+        x = _t(rng, 2, 3, 4, 4)
+        return T.grad_check(lambda ts: _sq_loss(T.style_pool(ts[0], ("avg", "std"))), [x])
+
+    @op("style_pool_avg_std_max")
+    def _sp_all(rng):
+        x = _t(rng, 2, 3, 4, 4)
+        loss = _weighted_loss(rng, (2, 3, 3))
+        return T.grad_check(lambda ts: loss(T.style_pool(ts[0], ("avg", "std", "max"))), [x])
+
+    @op("style_pool_max_ties")
+    def _sp_max_ties(rng):
+        # Finite differences are undefined at a tie, so the tape gradient is
+        # compared with the first-argmax routing directly: error 1 if misrouted.
+        x = _t(rng, 2, 3, 3, 3)
+        x.data[:, :, 1, 2] = x.data[:, :, 2, 0] = x.data.max() + 1.0
+        x.requires_grad = True
+        x.grad = None
+        r = rng.normal(size=(2, 3))
+        with T.Tape() as tape:
+            loss = T.tsum(T.style_pool(x, "max") * Tensor(r))
+        tape.backward(loss)
+        want = np.zeros_like(x.data)
+        want[:, :, 1, 2] = r
+        return float(np.abs(x.grad - want).max() / np.abs(r).max())
+
     @op("linear_layer")
     def _linear(rng):
         layer = Linear(5, 3, rng=rng)

@@ -14,10 +14,10 @@ from typing import Iterator
 import numpy as np
 
 from .tensor import (
+    POOL_EPS,
     Parameter,
     ShapeError,
     Tensor,
-    amax,
     batch_norm_train,
     channel_affine,
     conv2d,
@@ -25,8 +25,7 @@ from .tensor import (
     matmul,
     maxpool2d,
     relu,
-    sqrt,
-    tmean,
+    style_pool,
 )
 
 __all__ = [
@@ -43,11 +42,10 @@ __all__ = [
     "POOL_EPS",
 ]
 
-# Common residual-network BN constants, plus a tiny stabilizer so std pooling
-# stays differentiable at constant channels.
+# Common residual-network BN constants. POOL_EPS, the std-pooling stabilizer,
+# lives with style_pool in the tensor module and is re-exported here.
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
-POOL_EPS = 1e-12
 
 
 class Module:
@@ -245,24 +243,13 @@ class MaxPool2d(Module):
         return maxpool2d(x, self.kernel, self.stride, self.padding)
 
 
-_POOL_KINDS = ("avg", "std", "max")
-
-
 def global_pool(x: Tensor, kind: str) -> Tensor:
     """Reduce an NCHW map to per-example per-channel statistics of shape (N, C).
 
     ``avg`` and ``std`` are the channel-wise mean and biased (1/HW) standard
     deviation; ``max`` is the spatial maximum. std is stabilized as
     sqrt(var + POOL_EPS) so its gradient stays finite on constant channels.
+    Delegates to :func:`style_pool` with the single statistic, so it shares
+    that op's forward values and hand-written backward (one tape record).
     """
-    if x.ndim != 4:
-        raise ShapeError(f"global_pool: expected NCHW input, got {x.shape}")
-    if kind == "avg":
-        return tmean(x, axis=(2, 3))
-    if kind == "std":
-        mu = tmean(x, axis=(2, 3), keepdims=True)
-        var = tmean((x - mu) * (x - mu), axis=(2, 3))
-        return sqrt(var + POOL_EPS)
-    if kind == "max":
-        return amax(x, axis=(2, 3))
-    raise ValueError(f"global_pool: unknown kind {kind!r}; expected one of {_POOL_KINDS}")
+    return style_pool(x, kind)

@@ -20,17 +20,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .layers import BatchNorm, Linear, Module, global_pool
+from .layers import BatchNorm, Linear, Module
 from .tensor import (
+    POOL_KINDS,
     Parameter,
     ShapeError,
     Tensor,
-    concat,
+    _active_tape,
     get_default_dtype,
     relu,
     reshape,
     scale_channels,
     sigmoid,
+    style_pool,
     tsum,
 )
 
@@ -46,7 +48,7 @@ __all__ = [
     "se_layer",
 ]
 
-POOL_ORDER = ("avg", "std", "max")
+POOL_ORDER = POOL_KINDS
 
 SE_DEFAULT_REDUCTION = 16
 
@@ -136,9 +138,7 @@ class StylePool(Module):
         return len(self.pooling)
 
     def forward(self, x: Tensor) -> Tensor:
-        n, c = x.shape[0], x.shape[1]
-        feats = [reshape(global_pool(x, kind), (n, c, 1)) for kind in self.pooling]
-        return feats[0] if len(feats) == 1 else concat(feats, axis=2)
+        return style_pool(x, self.pooling)
 
 
 class StyleIntegration(Module):
@@ -265,8 +265,16 @@ class ChannelRecalib(Module):
         return self.integrate(self.pool(x))
 
     def forward(self, x: Tensor, gate_cb=None) -> Tensor:
+        """Rescale x by its gates; ``gate_cb`` maps the gate array to replacement gates.
+
+        The replacement gates are constants, so a callback is refused where the
+        gates would otherwise carry a gradient (an active Tape).
+        """
         g = self.gates(x)
         if gate_cb is not None:
+            if g.requires_grad and _active_tape() is not None:
+                raise RuntimeError("recalib: gate_cb under an active Tape would cut the gate gradient; "
+                                   "run gate callbacks without a Tape")
             g = Tensor(gate_cb(g.data))
         return scale_channels(x, g)
 

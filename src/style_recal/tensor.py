@@ -41,6 +41,7 @@ __all__ = [
     "amax",
     "reshape",
     "concat",
+    "style_pool",
     "scale_channels",
     "conv2d",
     "maxpool2d",
@@ -48,10 +49,17 @@ __all__ = [
     "channel_affine",
     "cross_entropy",
     "grad_check",
+    "POOL_EPS",
+    "POOL_KINDS",
 ]
 
 _DEFAULT_DTYPE = np.float32
 _FLOAT_DTYPES = (np.float32, np.float64)
+
+# Style-pooling statistics, and the stabilizer that keeps std differentiable
+# on constant channels.
+POOL_KINDS = ("avg", "std", "max")
+POOL_EPS = 1e-12
 
 
 class ShapeError(ValueError):
@@ -463,6 +471,63 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     return _make(out, tuple(ts), backward)
 
 
+def style_pool(x: Tensor, kinds) -> Tensor:
+    """Per-example per-channel spatial statistics of an NCHW map, as one op.
+
+    ``kinds`` is a sequence of distinct names from ``POOL_KINDS``; the output
+    has shape (N, C, d) with feature i the statistic ``kinds[i]``. A single
+    name instead of a sequence drops the feature axis: the output is (N, C).
+
+    avg is the channel mean; std the biased (1/HW) standard deviation from the
+    centred two-pass variance, sqrt(mean((x - mu)^2) + POOL_EPS), which does
+    not cancel in float32 when |mean| >> std; max the spatial maximum. The
+    backward is written out: avg contributes g/HW, std (x - mu) g / (HW sigma)
+    (the centred values sum to zero, so mu's own dependence on x drops out),
+    and max routes g to the first attaining element.
+    """
+    x = _as_tensor(x)
+    if x.ndim != 4:
+        raise ShapeError(f"style_pool: expected NCHW input, got {x.shape}")
+    squeeze = isinstance(kinds, str)
+    kinds = (kinds,) if squeeze else tuple(kinds)
+    col = {kind: i for i, kind in enumerate(kinds)}
+    if not kinds or len(col) != len(kinds) or not col.keys() <= set(POOL_KINDS):
+        raise ValueError(f"style_pool: kinds must be distinct names from {POOL_KINDS}, got {kinds!r}")
+    n, c, h, w = x.shape
+    m = h * w
+    x3 = x.data.reshape(n, c, m)
+    out = np.empty((n, c, len(kinds)), dtype=x.dtype)
+    if "avg" in col or "std" in col:
+        mu = x3.mean(axis=2)
+    if "avg" in col:
+        out[..., col["avg"]] = mu
+    if "std" in col:
+        xc = x3 - mu[..., None]
+        sigma = np.sqrt((xc * xc).mean(axis=2) + POOL_EPS)
+        out[..., col["std"]] = sigma
+    if "max" in col:
+        idx = x3.argmax(axis=2)
+        out[..., col["max"]] = np.take_along_axis(x3, idx[..., None], axis=2)[..., 0]
+
+    def backward(g):
+        if squeeze:
+            g = g[..., None]
+        if "std" in col:
+            gx = xc * (g[..., col["std"]] / (m * sigma))[..., None]
+            if "avg" in col:
+                gx += (g[..., col["avg"]] / m)[..., None]
+        elif "avg" in col:
+            gx = np.broadcast_to((g[..., col["avg"]] / m)[..., None], x3.shape).copy()
+        else:
+            gx = np.zeros_like(x3)
+        if "max" in col:
+            rows = gx.reshape(n * c, m)
+            rows[np.arange(n * c), idx.reshape(-1)] += g[..., col["max"]].reshape(-1)
+        return (gx.reshape(x.shape),)
+
+    return _make(out[..., 0] if squeeze else out, (x,), backward)
+
+
 def scale_channels(x: Tensor, g: Tensor) -> Tensor:
     """Multiply an NCHW map by per-example per-channel weights of shape (N, C)."""
     x = _as_tensor(x)
@@ -473,7 +538,7 @@ def scale_channels(x: Tensor, g: Tensor) -> Tensor:
     out = x.data * gb
 
     def backward(grad):
-        return grad * gb, (grad * x.data).sum(axis=(2, 3))
+        return grad * gb, np.einsum("nchw,nchw->nc", grad, x.data)
 
     return _make(out, (x, g), backward)
 

@@ -79,6 +79,13 @@ class TestEnumeration:
         report = count_params(build_resnet(cfg))
         assert report.added_by_recalib == formula(stages)
 
+    @pytest.mark.parametrize("recalib", ["srm", "se:4"])
+    @pytest.mark.parametrize("include_rs", [False, True])
+    def test_recalib_share_equals_difference_to_bare_twin(self, recalib, include_rs):
+        report = count_params(build_resnet(cifar_resnet_config(8, recalib=recalib)), include_rs)
+        bare = count_params(build_resnet(cifar_resnet_config(8)), include_rs)
+        assert report.added_by_recalib == report.total_params - bare.total_params > 0
+
     def test_monotonic_in_width(self):
         narrow = [StageSpec(2, 16, 1), StageSpec(2, 32, 2)]
         wide = [StageSpec(2, 16, 1), StageSpec(2, 48, 2)]

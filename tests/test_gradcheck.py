@@ -7,6 +7,7 @@ def test_suite_covers_all_ops_and_blocks():
         "add", "sub", "mul", "div", "matmul", "relu", "sigmoid", "sqrt", "sum", "mean",
         "amax", "reshape", "concat", "scale_channels", "conv2d", "maxpool2d",
         "cross_entropy", "global_pool_avg", "global_pool_std", "global_pool_max",
+        "style_pool_avg_std", "style_pool_avg_std_max", "style_pool_max_ties",
         "linear_layer", "conv_layer", "batchnorm_2d", "batchnorm_4d",
         "srm_block", "se_block", "mlp_bn_variant", "cfc_nobn_variant",
     }

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from style_recal import tensor as T
 from style_recal.layers import global_pool
 from style_recal.recalib import (
+    POOL_ORDER,
     FoldError,
     MlpIntegration,
     RecalibVariant,
@@ -19,6 +23,23 @@ from style_recal.tensor import Tape, Tensor, grad_check, using_dtype
 
 def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def loop_style_pool(x, pooling):
+    """Scalar-loop oracle: (N, C, d) statistics in the given order."""
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, len(pooling)))
+    for ni in range(n):
+        for ci in range(c):
+            vals = [x[ni, ci, yi, xi] for yi in range(h) for xi in range(w)]
+            mu = sum(vals) / len(vals)
+            stats = {
+                "avg": mu,
+                "std": math.sqrt(sum((v - mu) ** 2 for v in vals) / len(vals) + 1e-12),
+                "max": max(vals),
+            }
+            out[ni, ci] = [stats[kind] for kind in pooling]
+    return out
 
 
 class TestRecalibVariant:
@@ -60,6 +81,17 @@ class TestStylePool:
         x = Tensor(np.array([1.0, 3.0, 1.0, 3.0]).reshape(1, 1, 2, 2))
         t = pool(x).data
         np.testing.assert_allclose(t[0, 0], [2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "pooling", [p for r in (1, 2, 3) for p in itertools.combinations(POOL_ORDER, r)])
+    def test_every_subset_matches_scalar_loops(self, pooling):
+        rng = np.random.default_rng(len(pooling))
+        with using_dtype(np.float64):
+            for shape in ((2, 3, 5, 4), (1, 2, 1, 1), (3, 1, 7, 2)):
+                x = rng.normal(size=shape)
+                x[:, 0, 0] = 3.25  # ties and a partly constant row
+                got = StylePool(pooling)(Tensor(x, dtype=np.float64)).data
+                assert np.abs(got - loop_style_pool(x, pooling)).max() < 1e-6
 
     def test_matches_global_pool_components(self):
         rng = np.random.default_rng(0)
@@ -162,6 +194,21 @@ class TestChannelRecalib:
         x = Tensor(np.random.default_rng(2).normal(size=(2, 3, 4, 4)).astype(np.float32))
         out = layer(x, gate_cb=lambda g: np.zeros_like(g)).data
         assert (out == 0).all()
+
+    def test_gate_cb_under_tape_rejected(self):
+        # Replacement gates are constants: under a Tape they would silently cut the gate gradient.
+        layer = make_variant(3, RecalibVariant.srm(), rng=np.random.default_rng(0))
+        x = Tensor(np.random.default_rng(2).normal(size=(2, 3, 4, 4)).astype(np.float32))
+        with Tape(), pytest.raises(RuntimeError, match="gate_cb"):
+            layer(x, gate_cb=lambda g: g * 0.5)
+
+    def test_srm_layer_is_six_tape_records(self):
+        layer = make_variant(3, RecalibVariant.srm(), rng=np.random.default_rng(0))
+        x = Tensor(np.random.default_rng(2).normal(size=(2, 3, 4, 4)).astype(np.float32), requires_grad=True)
+        with Tape() as tape:
+            layer(x)
+        # style_pool, cfc mul and sum, batch norm, sigmoid, scale_channels
+        assert len(tape) == 6
 
     def test_recalibrate_matches_loop_broadcast(self):
         rng = np.random.default_rng(3)

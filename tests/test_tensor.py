@@ -124,6 +124,35 @@ class TestElementwiseAndReductions:
         assert (T.amax(x, axis=(2, 3)).data >= T.tmean(x, axis=(2, 3)).data).all()
 
 
+class TestStylePool:
+    @pytest.mark.parametrize("mean", [1e3, 1e4])
+    def test_float32_std_stable_when_mean_dominates(self, mean):
+        # |mean| >> std: E[x^2] - mu^2 cancels in float32; the centred two-pass form must not.
+        rng = np.random.default_rng(12)
+        x = (mean + 0.1 * rng.standard_normal((4, 3, 16, 16))).astype(np.float32)
+        got = T.style_pool(Tensor(x), "std").data
+        x64 = x.astype(np.float64)
+        xc = x64 - x64.mean(axis=(2, 3), keepdims=True)
+        want = np.sqrt((xc * xc).mean(axis=(2, 3)) + T.POOL_EPS)
+        assert got.dtype == np.float32
+        assert np.abs(got / want - 1.0).max() < 1e-3
+
+    def test_feature_order_follows_kinds(self):
+        x = Tensor(np.random.default_rng(1).normal(size=(2, 3, 4, 4)))
+        both = T.style_pool(x, ("max", "avg")).data
+        np.testing.assert_array_equal(both[..., 0], T.style_pool(x, "max").data)
+        np.testing.assert_array_equal(both[..., 1], T.style_pool(x, "avg").data)
+
+    @pytest.mark.parametrize("kinds", [(), ("avg", "avg"), ("median",), "median"])
+    def test_bad_kinds_rejected(self, kinds):
+        with pytest.raises(ValueError, match="style_pool"):
+            T.style_pool(Tensor(np.zeros((1, 1, 2, 2))), kinds)
+
+    def test_non_nchw_rejected(self):
+        with pytest.raises(ShapeError, match="NCHW"):
+            T.style_pool(Tensor(np.zeros((2, 3))), ("avg",))
+
+
 class TestReluOracle:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_identical_to_where(self, dtype):
