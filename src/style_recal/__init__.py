@@ -12,13 +12,12 @@ __version__ = "0.1.0"
 
 from .tensor import Parameter, Tape, Tensor, grad_check, set_default_dtype, using_dtype
 from .layers import BatchNorm, Conv2d, Linear, Module, global_pool
-from .recalib import ChannelRecalib, RecalibVariant, make_variant, se_layer
+from .recalib import ChannelRecalib, RecalibVariant
 from .models import (
     ArchitectureConfig,
     StageSpec,
     build_resnet,
     cifar_resnet_config,
-    forward_with_capture,
     imagenet_resnet50_config,
     named_config,
 )
@@ -49,15 +48,12 @@ __all__ = [
     "global_pool",
     "RecalibVariant",
     "ChannelRecalib",
-    "make_variant",
-    "se_layer",
     "ArchitectureConfig",
     "StageSpec",
     "build_resnet",
     "cifar_resnet_config",
     "imagenet_resnet50_config",
     "named_config",
-    "forward_with_capture",
     "analyze",
     "count_params",
     "count_flops",

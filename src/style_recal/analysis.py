@@ -57,13 +57,17 @@ class AnalysisRecord:
 
 def capture_record(model: ResNet, dataset: Dataset, batch_size: int = 256) -> AnalysisRecord:
     """Eval pass over the set, recording every layer's gate vector per image."""
+    if not model.recalib_layers():
+        warnings.warn("capture requested on a model without recalibration layers; record is empty")
     model.eval()
     chunks: dict[tuple[int, int], list[np.ndarray]] = {}
+
+    def record(stage_idx: int, block_idx: int, g: np.ndarray) -> np.ndarray:
+        chunks.setdefault((stage_idx, block_idx), []).append(g.copy())
+        return g
+
     for images, _ in iterate_batches(dataset, batch_size):
-        capture: dict[tuple[int, int], np.ndarray] = {}
-        model(Tensor(images), capture=capture)
-        for key, g in capture.items():
-            chunks.setdefault(key, []).append(g)
+        model(Tensor(images), gate_transform=record)
     gates = {key: np.concatenate(parts) for key, parts in chunks.items()}
     return AnalysisRecord(gates=gates, image_ids=np.arange(len(dataset), dtype=np.int64))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .models import BOTTLENECK_EXPANSION, BasicBlock, ResNet, StageSpec
+from .models import ResNet, StageSpec
 from .recalib import StyleIntegration
 
 __all__ = [
@@ -150,30 +150,22 @@ def count_flops(model: ResNet, input_shape: tuple[int, int, int]) -> ComplexityR
         w = _conv_out(w, mp.kernel, mp.stride, mp.padding)
         emit("stem_pool", mp.kernel * mp.kernel * stem_ch * h * w)
 
-    c = stem_ch
     for si, stage in enumerate(model.stages):
         for bi, block in enumerate(stage):
-            name = f"stages.{si}.{bi}"
-            cout = block.conv1.out_channels if isinstance(block, BasicBlock) else block.conv3.out_channels
-            stride = block.conv1.stride
-            ho = _conv_out(h, block.conv1.kernel, stride, block.conv1.padding)
-            wo = _conv_out(w, block.conv1.kernel, stride, block.conv1.padding)
             flops = 0
-            if isinstance(block, BasicBlock):
-                flops += _conv_flops(c, cout, 3, ho, wo) + 2 * cout * ho * wo  # conv1+bn+relu
-                flops += _conv_flops(cout, cout, 3, ho, wo) + cout * ho * wo  # conv2+bn
-            else:
-                width = cout // BOTTLENECK_EXPANSION
-                flops += _conv_flops(c, width, 1, ho, wo) + 2 * width * ho * wo
-                flops += _conv_flops(width, width, 3, ho, wo) + 2 * width * ho * wo
-                flops += _conv_flops(width, cout, 1, ho, wo) + cout * ho * wo
+            for i, (conv, _) in enumerate(block.pairs, start=1):
+                h = _conv_out(h, conv.kernel, conv.stride, conv.padding)
+                w = _conv_out(w, conv.kernel, conv.stride, conv.padding)
+                c = conv.out_channels
+                bn_relu = 1 if i == len(block.pairs) else 2  # BN, plus a ReLU between pairs
+                flops += _conv_flops(conv.in_channels, c, conv.kernel, h, w) + bn_relu * c * h * w
             if block.recalib is not None:
-                flops += _recalib_flops(block.recalib, cout, ho, wo)
+                flops += _recalib_flops(block.recalib, c, h, w)
             if block.proj_conv is not None:
-                flops += _conv_flops(c, cout, 1, ho, wo) + cout * ho * wo
-            flops += 2 * cout * ho * wo  # shortcut add + final relu
-            emit(name, flops)
-            c, h, w = cout, ho, wo
+                p = block.proj_conv
+                flops += _conv_flops(p.in_channels, c, p.kernel, h, w) + c * h * w
+            flops += 2 * c * h * w  # shortcut add + final relu
+            emit(f"stages.{si}.{bi}", flops)
 
     emit("head_pool", c * h * w)
     emit("classifier", c * cfg.num_classes + cfg.num_classes)
@@ -220,29 +212,13 @@ def format_table(report: ComplexityReport) -> str:
 
 
 def srm_extra_params(stages: list[StageSpec], include_running_stats: bool = False) -> int:
-    """Closed-form parameter overhead of the canonical style recalibrator.
-
-    Per recalibrated channel: 2 channel-wise weights + 2 BN affine terms,
-    plus 2 running statistics when those are counted (coefficient 6 vs 4).
-    """
-    coeff = 6 if include_running_stats else 4
-    return coeff * sum(s.blocks * s.channels for s in stages)
+    """Canonical style recalibrator: avg+std channel-wise FC with BN (4, or 6 with running stats, per channel)."""
+    return cfc_variant_extra_params(stages, d=2, use_bn=True, include_running_stats=include_running_stats)
 
 
-def se_extra_params(stages: list[StageSpec], reduction: int = 16,
-                    include_biases: bool = True) -> int:
-    """Closed-form parameter overhead of squeeze-and-excitation blocks.
-
-    Weights contribute 2/r * sum(N_s * C_s^2); biases add C_s/r + C_s per block.
-    """
-    total = 0
-    for s in stages:
-        hidden = max(1, s.channels // reduction)
-        per_block = s.channels * hidden * 2
-        if include_biases:
-            per_block += hidden + s.channels
-        total += s.blocks * per_block
-    return total
+def se_extra_params(stages: list[StageSpec], reduction: int = 16) -> int:
+    """Squeeze-and-excitation: 2/r * sum(N_s * C_s^2) weights plus C_s/r + C_s biases per block."""
+    return mlp_variant_extra_params(stages, d=1, reduction=reduction)
 
 
 def cfc_variant_extra_params(stages: list[StageSpec], d: int, use_bn: bool = True,

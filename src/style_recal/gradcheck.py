@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .layers import BatchNorm, Conv2d, Linear, global_pool
-from .recalib import RecalibVariant, make_variant
+from .recalib import ChannelRecalib, RecalibVariant
 from .tensor import Tensor, using_dtype
 
 __all__ = ["CheckCase", "default_checks", "run_suite", "SUITE_TOLERANCE"]
@@ -223,7 +223,7 @@ def default_checks() -> list[CheckCase]:
 
     @op("srm_block", eps=1e-4)
     def _srm(rng):
-        layer = make_variant(4, RecalibVariant.srm(), rng=rng)
+        layer = ChannelRecalib(4, RecalibVariant.srm(), rng=rng)
         x = _t(rng, 2, 4, 3, 3)
         loss = _weighted_loss(rng, (2, 4, 3, 3))
         params = [x] + layer.parameters()
@@ -231,7 +231,7 @@ def default_checks() -> list[CheckCase]:
 
     @op("se_block", eps=1e-4)
     def _se(rng):
-        layer = make_variant(8, RecalibVariant.se(4), rng=rng)
+        layer = ChannelRecalib(8, RecalibVariant.se(4), rng=rng)
         # Keep hidden units alive for every example: a batch-dead ReLU unit has
         # an exactly-zero bias gradient, which the relative-error metric cannot
         # compare against finite-difference noise.
@@ -244,21 +244,27 @@ def default_checks() -> list[CheckCase]:
     @op("mlp_bn_variant", eps=1e-4)
     def _mlp_bn(rng):
         variant = RecalibVariant(pooling=("avg", "std"), integration="mlp", use_bn=True, se_reduction=4)
-        layer = make_variant(4, variant, rng=rng)
+        layer = ChannelRecalib(4, variant, rng=rng)
         layer.integrate.fc1.bias.data += 1.0
         x = _t(rng, 2, 4, 3, 3)
         loss = _weighted_loss(rng, (2, 4, 3, 3))
-        # fc1.bias is excluded: with every hidden unit alive it shifts each
-        # channel by a batch constant that the following BN removes exactly, so
-        # its true gradient is zero and the relative-error metric cannot rate
-        # a structural zero against finite-difference noise.
-        params = [x] + [p for name, p in layer.named_parameters() if name != "integrate.fc1.bias"]
-        return T.grad_check(lambda ts: loss(layer(ts[0])), params, eps=1e-4)
+        # The BN after fc2 removes any per-channel constant, so the true gradient
+        # of fc2.bias is zero, and so is fc1.bias's with every hidden unit alive.
+        # Relative error cannot rate a structural zero against finite-difference
+        # noise: the biases are rated by their largest analytic gradient over the
+        # largest gradient of the other inputs, the rest by relative error.
+        biases = [layer.integrate.fc1.bias, layer.integrate.fc2.bias]
+        others = [x] + [p for p in layer.parameters() if all(p is not b for b in biases)]
+        for b in biases:
+            b.grad = None
+        err = T.grad_check(lambda ts: loss(layer(ts[0])), others, eps=1e-4)
+        scale = max(float(np.abs(t.grad).max()) for t in others)
+        return max(err, max(float(np.abs(b.grad).max()) for b in biases) / scale)
 
     @op("cfc_nobn_variant", eps=1e-4)
     def _cfc_nobn(rng):
         variant = RecalibVariant(pooling=("avg", "std", "max"), integration="cfc", use_bn=False)
-        layer = make_variant(4, variant, rng=rng)
+        layer = ChannelRecalib(4, variant, rng=rng)
         x = _t(rng, 2, 4, 3, 3)
         loss = _weighted_loss(rng, (2, 4, 3, 3))
         params = [x] + layer.parameters()

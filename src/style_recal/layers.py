@@ -24,7 +24,6 @@ from .tensor import (
     get_default_dtype,
     matmul,
     maxpool2d,
-    relu,
     style_pool,
 )
 
@@ -34,7 +33,6 @@ __all__ = [
     "Conv2d",
     "BatchNorm",
     "Linear",
-    "ReLU",
     "MaxPool2d",
     "global_pool",
     "BN_EPS",
@@ -65,12 +63,6 @@ class Module:
         object.__setattr__(self, name, value)
 
     def register_buffer(self, name: str, value: np.ndarray) -> None:
-        self._buffers[name] = value
-        object.__setattr__(self, name, value)
-
-    def _set_buffer(self, name: str, value: np.ndarray) -> None:
-        if name not in self._buffers:
-            raise KeyError(name)
         self._buffers[name] = value
         object.__setattr__(self, name, value)
 
@@ -225,11 +217,6 @@ class Linear(Module):
         if self.bias is not None:
             out = out + self.bias
         return out
-
-
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return relu(x)
 
 
 class MaxPool2d(Module):

@@ -10,25 +10,26 @@ multiply-accumulate counts for the 224x224 nets.
 
 from __future__ import annotations
 
+import functools
 import json
-import warnings
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .layers import BatchNorm, Conv2d, Linear, MaxPool2d, Module, ModuleList, global_pool
-from .recalib import ChannelRecalib, RecalibVariant, make_variant
+from .recalib import ChannelRecalib, RecalibVariant
 from .tensor import Tensor, relu
 
 __all__ = [
     "StageSpec",
     "ArchitectureConfig",
+    "ResidualBlock",
     "BasicBlock",
     "BottleneckBlock",
     "ResNet",
     "build_resnet",
-    "forward_with_capture",
     "cifar_resnet_config",
     "imagenet_resnet50_config",
     "named_config",
@@ -134,88 +135,79 @@ def parse_recalib(spec) -> RecalibVariant | None:
     raise ValueError(f"unknown recalib spec {spec!r}")
 
 
-class BasicBlock(Module):
+class ResidualBlock(Module):
+    """Residual skeleton: a branch of (conv, BN) pairs with a ReLU between pairs,
+    an optional recalibration layer after the last BN, and a shortcut that is the
+    identity or a strided 1x1 projection; the sum passes through a final ReLU.
+
+    ``specs`` lists the branch convolutions as (in, out, kernel, stride, padding).
+    They are registered as conv1/bn1, conv2/bn2, ..., then recalib, then
+    proj_conv/proj_bn, which fixes parameter names and the RNG draw order.
+    """
+
+    def __init__(self, specs: list[tuple[int, int, int, int, int]],
+                 variant: RecalibVariant | None, rng: np.random.Generator):
+        super().__init__()
+        self.pairs: list[tuple[Conv2d, BatchNorm]] = []
+        for i, (cin, cout, k, stride, padding) in enumerate(specs, start=1):
+            conv = Conv2d(cin, cout, k, stride=stride, padding=padding, rng=rng)
+            bn = BatchNorm(cout)
+            setattr(self, f"conv{i}", conv)
+            setattr(self, f"bn{i}", bn)
+            self.pairs.append((conv, bn))
+        in_channels, channels = specs[0][0], specs[-1][1]
+        stride = math.prod(spec[3] for spec in specs)
+        self.recalib = ChannelRecalib(channels, variant, rng=rng) if variant is not None else None
+        if stride != 1 or in_channels != channels:
+            self.proj_conv = Conv2d(in_channels, channels, 1, stride=stride, rng=rng)
+            self.proj_bn = BatchNorm(channels)
+        else:
+            self.proj_conv = None
+            self.proj_bn = None
+
+    @property
+    def convs_in_branch(self) -> int:
+        return len(self.pairs)
+
+    @property
+    def has_identity_shortcut(self) -> bool:
+        return self.proj_conv is None
+
+    def branch(self, x: Tensor) -> Tensor:
+        h = x
+        for conv, bn in self.pairs[:-1]:
+            h = relu(bn(conv(h)))
+        conv, bn = self.pairs[-1]
+        return bn(conv(h))
+
+    def shortcut(self, x: Tensor) -> Tensor:
+        if self.proj_conv is None:
+            return x
+        return self.proj_bn(self.proj_conv(x))
+
+    def forward(self, x: Tensor, gate_cb=None) -> Tensor:
+        b = self.branch(x)
+        if self.recalib is not None:
+            b = self.recalib(b, gate_cb)
+        return relu(b + self.shortcut(x))
+
+
+class BasicBlock(ResidualBlock):
     """conv3x3 - BN - ReLU - conv3x3 - BN [- recalib], plus shortcut."""
 
-    convs_in_branch = 2
-
     def __init__(self, in_channels: int, channels: int, stride: int,
                  variant: RecalibVariant | None, rng: np.random.Generator):
-        super().__init__()
-        self.conv1 = Conv2d(in_channels, channels, 3, stride=stride, padding=1, rng=rng)
-        self.bn1 = BatchNorm(channels)
-        self.conv2 = Conv2d(channels, channels, 3, stride=1, padding=1, rng=rng)
-        self.bn2 = BatchNorm(channels)
-        self.recalib = make_variant(channels, variant, rng=rng) if variant is not None else None
-        if stride != 1 or in_channels != channels:
-            self.proj_conv = Conv2d(in_channels, channels, 1, stride=stride, rng=rng)
-            self.proj_bn = BatchNorm(channels)
-        else:
-            self.proj_conv = None
-            self.proj_bn = None
-
-    @property
-    def has_identity_shortcut(self) -> bool:
-        return self.proj_conv is None
-
-    def branch(self, x: Tensor) -> Tensor:
-        h = relu(self.bn1(self.conv1(x)))
-        return self.bn2(self.conv2(h))
-
-    def shortcut(self, x: Tensor) -> Tensor:
-        if self.proj_conv is None:
-            return x
-        return self.proj_bn(self.proj_conv(x))
-
-    def forward(self, x: Tensor, gate_cb=None) -> Tensor:
-        b = self.branch(x)
-        if self.recalib is not None:
-            b = self.recalib(b, gate_cb)
-        return relu(b + self.shortcut(x))
+        super().__init__([(in_channels, channels, 3, stride, 1), (channels, channels, 3, 1, 1)], variant, rng)
 
 
-class BottleneckBlock(Module):
+class BottleneckBlock(ResidualBlock):
     """1x1 - 3x3 - 1x1 bottleneck with the stride on the first 1x1."""
 
-    convs_in_branch = 3
-
     def __init__(self, in_channels: int, channels: int, stride: int,
                  variant: RecalibVariant | None, rng: np.random.Generator):
-        super().__init__()
         width = channels // BOTTLENECK_EXPANSION
-        self.conv1 = Conv2d(in_channels, width, 1, stride=stride, rng=rng)
-        self.bn1 = BatchNorm(width)
-        self.conv2 = Conv2d(width, width, 3, stride=1, padding=1, rng=rng)
-        self.bn2 = BatchNorm(width)
-        self.conv3 = Conv2d(width, channels, 1, stride=1, rng=rng)
-        self.bn3 = BatchNorm(channels)
-        self.recalib = make_variant(channels, variant, rng=rng) if variant is not None else None
-        if stride != 1 or in_channels != channels:
-            self.proj_conv = Conv2d(in_channels, channels, 1, stride=stride, rng=rng)
-            self.proj_bn = BatchNorm(channels)
-        else:
-            self.proj_conv = None
-            self.proj_bn = None
-
-    @property
-    def has_identity_shortcut(self) -> bool:
-        return self.proj_conv is None
-
-    def branch(self, x: Tensor) -> Tensor:
-        h = relu(self.bn1(self.conv1(x)))
-        h = relu(self.bn2(self.conv2(h)))
-        return self.bn3(self.conv3(h))
-
-    def shortcut(self, x: Tensor) -> Tensor:
-        if self.proj_conv is None:
-            return x
-        return self.proj_bn(self.proj_conv(x))
-
-    def forward(self, x: Tensor, gate_cb=None) -> Tensor:
-        b = self.branch(x)
-        if self.recalib is not None:
-            b = self.recalib(b, gate_cb)
-        return relu(b + self.shortcut(x))
+        super().__init__([(in_channels, width, 1, stride, 0), (width, width, 3, 1, 1), (width, channels, 1, 1, 0)],
+                         variant, rng)
 
 
 class ResNet(Module):
@@ -249,20 +241,17 @@ class ResNet(Module):
             h = self.stem_pool(h)
         return h
 
-    def run_stage(self, stage_idx: int, h: Tensor, gate_transform: GateTransform | None = None,
-                  capture: dict | None = None) -> Tensor:
+    def run_stage(self, stage_idx: int, h: Tensor, gate_transform: GateTransform | None = None) -> Tensor:
         for block_idx, block in enumerate(self.stages[stage_idx]):
-            cb = None
-            if block.recalib is not None and (gate_transform is not None or capture is not None):
-                cb = _gate_cb(stage_idx, block_idx, gate_transform, capture)
+            cb = functools.partial(gate_transform, stage_idx, block_idx) if gate_transform is not None else None
             h = block(h, cb)
         return h
 
-    def forward(self, x: Tensor, gate_transform: GateTransform | None = None,
-                capture: dict | None = None) -> Tensor:
+    def forward(self, x: Tensor, gate_transform: GateTransform | None = None) -> Tensor:
+        """Logits; ``gate_transform(stage, block, gates)`` may read or replace each layer's gates."""
         h = self.stem(x)
         for stage_idx in range(len(self.stages)):
-            h = self.run_stage(stage_idx, h, gate_transform, capture)
+            h = self.run_stage(stage_idx, h, gate_transform)
         return self.classifier(global_pool(h, "avg"))
 
     def recalib_layers(self) -> list[tuple[int, int, ChannelRecalib]]:
@@ -292,30 +281,8 @@ class ResNet(Module):
         return count
 
 
-def _gate_cb(stage_idx: int, block_idx: int, gate_transform: GateTransform | None,
-             capture: dict | None):
-    def cb(g: np.ndarray) -> np.ndarray:
-        if capture is not None:
-            capture[(stage_idx, block_idx)] = g.copy()
-        if gate_transform is not None:
-            g = gate_transform(stage_idx, block_idx, g)
-        return g
-
-    return cb
-
-
 def build_resnet(config: ArchitectureConfig, seed: int = 0) -> ResNet:
     return ResNet(config, np.random.default_rng(seed))
-
-
-def forward_with_capture(model: ResNet, x: Tensor) -> tuple[Tensor, dict[tuple[int, int], np.ndarray]]:
-    """Eval forward returning logits plus each layer's gate matrix keyed by (stage, block)."""
-    capture: dict[tuple[int, int], np.ndarray] = {}
-    if not model.recalib_layers():
-        warnings.warn("capture requested on a model without recalibration layers; record is empty")
-        return model(x), capture
-    logits = model(x, capture=capture)
-    return logits, capture
 
 
 def cifar_resnet_config(depth: int, recalib: RecalibVariant | str | None = None,

@@ -44,8 +44,6 @@ __all__ = [
     "MlpIntegration",
     "ChannelRecalib",
     "FoldError",
-    "make_variant",
-    "se_layer",
 ]
 
 POOL_ORDER = POOL_KINDS
@@ -287,17 +285,3 @@ class ChannelRecalib(Module):
     @property
     def can_fold(self) -> bool:
         return isinstance(self.integrate, StyleIntegration) and self.integrate.bn is not None
-
-
-def make_variant(channels: int, variant: RecalibVariant,
-                 rng: np.random.Generator | None = None) -> ChannelRecalib:
-    """Wire the selected pooling set into the selected integrator."""
-    return ChannelRecalib(channels, variant, rng=rng)
-
-
-def se_layer(channels: int, reduction: int = SE_DEFAULT_REDUCTION,
-             rng: np.random.Generator | None = None) -> ChannelRecalib:
-    """Squeeze-and-excitation block: average-pool squeeze, bottleneck MLP excitation."""
-    if reduction < 1:
-        raise ValueError(f"se_layer: reduction ratio must be >= 1, got {reduction}")
-    return make_variant(channels, RecalibVariant.se(reduction), rng=rng)

@@ -136,7 +136,6 @@ class SGD:
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.buffers = {name: np.zeros_like(p.data) for name, p in self.named_params.items()}
-        self.decay_applied: set[str] = set()
 
     def zero_grad(self) -> None:
         for p in self.named_params.values():
@@ -154,13 +153,10 @@ class SGD:
             g = grads[name]
             if self.weight_decay:
                 g = g + self.weight_decay * p.data
-            self.decay_applied.add(name)
             buf = self.buffers[name]
             buf *= self.momentum
             buf += g
             p.data -= lr * buf
-        # Bookkeeping invariant: decay covers the full trainable set, no exclusions.
-        assert self.decay_applied == set(self.named_params)
         return True
 
 
@@ -192,8 +188,7 @@ def _model_state(model: ResNet, opt: SGD | None) -> dict[str, np.ndarray]:
 
 
 def save_checkpoint(path: str | Path, model: ResNet, opt: SGD | None, step: int, cfg_hash: str) -> None:
-    entries = {k: v.copy() for k, v in _model_state(model, opt).items()}
-    write_container(path, entries, meta={"kind": "checkpoint", "step": step, "config_hash": cfg_hash})
+    write_container(path, _model_state(model, opt), meta={"kind": "checkpoint", "step": step, "config_hash": cfg_hash})
 
 
 def load_checkpoint(path: str | Path, model: ResNet, opt: SGD | None = None,
@@ -204,17 +199,29 @@ def load_checkpoint(path: str | Path, model: ResNet, opt: SGD | None = None,
         raise ValueError(f"{path}: not a checkpoint container")
     if expect_hash is not None and meta.get("config_hash") not in (None, expect_hash):
         raise ValueError(f"{path}: checkpoint config hash {meta.get('config_hash')} != expected {expect_hash}")
-    for name, p in model.named_parameters():
-        src = entries["param." + name]
-        if src.shape != p.data.shape:
-            raise ValueError(f"{path}: shape mismatch for {name}: {src.shape} vs {p.data.shape}")
-        p.data = src.astype(p.data.dtype, copy=True)
-    for name, buf in model.named_buffers():
-        buf[...] = entries["buffer." + name]
-    if opt is not None:
-        for name in opt.buffers:
-            opt.buffers[name] = entries["opt." + name].astype(opt.buffers[name].dtype, copy=True)
+    _apply_state(model, opt, entries, str(path))
     return int(meta["step"])
+
+
+def _apply_state(model: ResNet, opt: SGD | None, entries: dict[str, np.ndarray], source: str) -> None:
+    """Copy saved entries into the model's (and the optimizer's) arrays in place.
+
+    Nothing is written unless the key sets and shapes match exactly; otherwise a
+    ValueError names every missing, unexpected and shape-mismatched entry.
+    ``opt.*`` entries take part only when an optimizer is given.
+    """
+    targets = _model_state(model, opt)
+    saved = {k: v for k, v in entries.items() if opt is not None or not k.startswith("opt.")}
+    missing = sorted(targets.keys() - saved.keys())
+    unexpected = sorted(saved.keys() - targets.keys())
+    # The container stores a 0-d array with shape (1,).
+    mismatched = [f"{k} {saved[k].shape} vs {v.shape}" for k, v in targets.items()
+                  if k in saved and np.atleast_1d(saved[k]).shape != np.atleast_1d(v).shape]
+    if missing or unexpected or mismatched:
+        raise ValueError(f"{source}: state does not match the model; missing {missing}; "
+                         f"unexpected {unexpected}; shape mismatch {mismatched}")
+    for k, v in targets.items():
+        v[...] = saved[k]
 
 
 def evaluate(model: ResNet, dataset: Dataset, batch_size: int = 256) -> float:
@@ -283,7 +290,7 @@ def train(model: ResNet, dataset: Dataset, cfg: TrainConfig, out_dir: str | Path
             result.diverged = True
             result.final_step = step
             if last_good is not None:
-                _restore_state(model, opt, last_good)
+                _apply_state(model, opt, last_good, "last good state")
             break
         tape.backward(loss)
         if not opt.step(lr):
@@ -318,15 +325,6 @@ def train(model: ResNet, dataset: Dataset, cfg: TrainConfig, out_dir: str | Path
     if result.checkpoint_path is not None and not result.diverged:
         save_checkpoint(result.checkpoint_path, model, opt, result.final_step, chash)
     return result
-
-
-def _restore_state(model: ResNet, opt: SGD, state: dict[str, np.ndarray]) -> None:
-    for name, p in model.named_parameters():
-        p.data = state["param." + name].copy()
-    for name, buf in model.named_buffers():
-        buf[...] = state["buffer." + name]
-    for name in opt.buffers:
-        opt.buffers[name] = state["opt." + name].copy()
 
 
 def write_metrics_csv(path: str | Path, rows: list[dict]) -> None:

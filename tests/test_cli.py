@@ -156,6 +156,20 @@ class TestTrainEvalPipeline:
         assert 0.0 <= payload["top1"] <= 1.0
         assert payload["examples"] == 64
 
+    @pytest.mark.parametrize("recalib", ["none", "se"])
+    def test_eval_mismatched_recalib_names_keys(self, trained_run, synth_dir, capsys, recalib):
+        rc = main([
+            "eval",
+            "--arch", _arch_cache["path"],
+            "--recalib", recalib,
+            "--ckpt", str(trained_run / "checkpoint.bin"),
+            "--data", str(synth_dir / "test.bin"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError:") and "KeyError" not in err
+        assert "param.stages.0.0.recalib.integrate.weight" in err
+
     def test_eval_with_fold(self, trained_run, synth_dir, capsys):
         args = [
             "eval",

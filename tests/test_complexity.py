@@ -32,7 +32,7 @@ class TestClosedForms:
 
     def test_se_resnet50_arithmetic(self):
         # 2/16 * sum N_s C_s^2 + sum N_s (C_s/16 + C_s) = 2514944 + 16048
-        weights_only = se_extra_params(R50_STAGES, 16, include_biases=False)
+        weights_only = sum(s.blocks * 2 * s.channels * (s.channels // 16) for s in R50_STAGES)
         assert weights_only == 2514944
         assert se_extra_params(R50_STAGES, 16) == 2530992
 

@@ -1,18 +1,26 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from style_recal.analysis import capture_record
+from style_recal.data import Dataset
 from style_recal.models import (
     ArchitectureConfig,
     StageSpec,
     build_resnet,
     cifar_resnet_config,
-    forward_with_capture,
     imagenet_resnet50_config,
     named_config,
     parse_recalib,
 )
 from style_recal.recalib import RecalibVariant
 from style_recal.tensor import Tensor, relu
+
+
+def as_dataset(images: np.ndarray) -> Dataset:
+    return Dataset(images, np.zeros(len(images), dtype=np.int64), "test", 1)
 
 
 def small_cfg(recalib=None, blocks=1, num_classes=4):
@@ -114,27 +122,24 @@ class TestStructure:
 class TestCapture:
     def test_capture_count_is_total_blocks(self):
         model = build_resnet(cifar_resnet_config(20, recalib="srm"), seed=0)
-        model.eval()
-        x = Tensor(np.random.default_rng(2).normal(size=(2, 3, 16, 16)).astype(np.float32))
-        _, record = forward_with_capture(model, x)
-        assert len(record) == 9  # sum of blocks over stages
-        for (si, bi), g in record.items():
+        x = np.random.default_rng(2).normal(size=(2, 3, 16, 16)).astype(np.float32)
+        record = capture_record(model, as_dataset(x))
+        assert len(record.gates) == 9  # sum of blocks over stages
+        for (si, bi), g in record.gates.items():
             assert g.shape[0] == 2
 
     def test_capture_without_recalib_flagged_empty(self):
         model = build_resnet(cifar_resnet_config(20), seed=0)
-        model.eval()
-        x = Tensor(np.zeros((2, 3, 16, 16), dtype=np.float32))
+        x = np.zeros((2, 3, 16, 16), dtype=np.float32)
         with pytest.warns(UserWarning, match="without recalibration"):
-            _, record = forward_with_capture(model, x)
-        assert record == {}
+            record = capture_record(model, as_dataset(x))
+        assert record.gates == {}
 
     def test_captured_gates_match_direct_invocation(self):
         model = build_resnet(small_cfg("srm"), seed=3)
-        model.eval()
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(size=(2, 3, 8, 8)).astype(np.float32))
-        _, record = forward_with_capture(model, x)
+        record = capture_record(model, as_dataset(x.data))
 
         # Recompute by walking the blocks and invoking each recalib layer directly
         # on the intercepted pre-gate branch output.
@@ -143,7 +148,7 @@ class TestCapture:
             for bi, block in enumerate(stage):
                 branch = block.branch(h)
                 g = block.recalib.gates(branch).data
-                np.testing.assert_array_equal(record[(si, bi)], g)
+                np.testing.assert_array_equal(record.gates[(si, bi)], g)
                 h = block(h)
 
     def test_forced_half_gates_equal_halved_branch(self):
@@ -188,3 +193,20 @@ class TestIdentityLimits:
         assert folded == len(model.recalib_layers())
         g_eval = model(x).data  # folded path now active
         assert np.isfinite(g_eval).all()
+
+
+# sha256 of the JSON list [arch, recalib, [[key, shape, dtype], ...]] over the
+# parameters ("param.<name>") then buffers ("buffer.<name>") in model order.
+# These are the checkpoint keys, so a change here breaks existing checkpoints.
+LAYOUT_DIGEST = "213e3821fc6a32f2e39a3060b9323779dd69760587d0093169520326a81d8a54"
+
+
+def test_parameter_and_buffer_layout_is_pinned():
+    rows = []
+    for arch, recalib in (("resnet20", "none"), ("resnet20", "srm"), ("resnet20", "se"), ("resnet50", "srm")):
+        model = build_resnet(named_config(arch, recalib), seed=0)
+        entries = [["param." + n, list(p.data.shape), str(p.data.dtype)] for n, p in model.named_parameters()]
+        entries += [["buffer." + n, list(b.shape), str(b.dtype)] for n, b in model.named_buffers()]
+        rows.append([arch, recalib, entries])
+    assert sum(len(r[2]) for r in rows) == 890
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == LAYOUT_DIGEST

@@ -10,13 +10,12 @@ from style_recal import tensor as T
 from style_recal.layers import global_pool
 from style_recal.recalib import (
     POOL_ORDER,
+    ChannelRecalib,
     FoldError,
     MlpIntegration,
     RecalibVariant,
     StyleIntegration,
     StylePool,
-    make_variant,
-    se_layer,
 )
 from style_recal.tensor import Tape, Tensor, grad_check, using_dtype
 
@@ -183,27 +182,27 @@ class TestFoldIdentity:
 
 class TestChannelRecalib:
     def test_half_gate_halves_input(self):
-        layer = make_variant(3, RecalibVariant.srm(), rng=np.random.default_rng(0))
+        layer = ChannelRecalib(3, RecalibVariant.srm(), rng=np.random.default_rng(0))
         layer.integrate.weight.data[...] = 0.0
         x = Tensor(np.random.default_rng(1).normal(size=(4, 3, 5, 5)).astype(np.float32))
         out = layer(x).data
         np.testing.assert_allclose(out, 0.5 * x.data, rtol=1e-5, atol=1e-6)
 
     def test_zero_gate_zeroes_output(self):
-        layer = make_variant(3, RecalibVariant.srm(), rng=np.random.default_rng(0))
+        layer = ChannelRecalib(3, RecalibVariant.srm(), rng=np.random.default_rng(0))
         x = Tensor(np.random.default_rng(2).normal(size=(2, 3, 4, 4)).astype(np.float32))
         out = layer(x, gate_cb=lambda g: np.zeros_like(g)).data
         assert (out == 0).all()
 
     def test_gate_cb_under_tape_rejected(self):
         # Replacement gates are constants: under a Tape they would silently cut the gate gradient.
-        layer = make_variant(3, RecalibVariant.srm(), rng=np.random.default_rng(0))
+        layer = ChannelRecalib(3, RecalibVariant.srm(), rng=np.random.default_rng(0))
         x = Tensor(np.random.default_rng(2).normal(size=(2, 3, 4, 4)).astype(np.float32))
         with Tape(), pytest.raises(RuntimeError, match="gate_cb"):
             layer(x, gate_cb=lambda g: g * 0.5)
 
     def test_srm_layer_is_six_tape_records(self):
-        layer = make_variant(3, RecalibVariant.srm(), rng=np.random.default_rng(0))
+        layer = ChannelRecalib(3, RecalibVariant.srm(), rng=np.random.default_rng(0))
         x = Tensor(np.random.default_rng(2).normal(size=(2, 3, 4, 4)).astype(np.float32), requires_grad=True)
         with Tape() as tape:
             layer(x)
@@ -222,7 +221,7 @@ class TestChannelRecalib:
     def test_channel_independence_of_cfc_gates(self):
         # Perturbing one channel's map leaves other channels' gates unchanged (eval mode).
         rng = np.random.default_rng(4)
-        layer = make_variant(4, RecalibVariant.srm(), rng=rng)
+        layer = ChannelRecalib(4, RecalibVariant.srm(), rng=rng)
         layer.integrate.bn.num_batches[...] = 1
         layer.eval()
         x = rng.normal(size=(2, 4, 5, 5)).astype(np.float32)
@@ -236,7 +235,7 @@ class TestChannelRecalib:
 
     def test_se_gates_couple_channels(self):
         rng = np.random.default_rng(5)
-        layer = se_layer(4, reduction=2, rng=rng)
+        layer = ChannelRecalib(4, RecalibVariant.se(2), rng=rng)
         layer.eval()
         x = rng.normal(size=(2, 4, 5, 5)).astype(np.float32)
         g0 = layer.gates(Tensor(x)).data
@@ -250,7 +249,7 @@ class TestChannelRecalib:
     @settings(max_examples=30, deadline=None)
     def test_gate_range_property(self, seed):
         rng = np.random.default_rng(seed)
-        layer = make_variant(3, RecalibVariant.srm(), rng=rng)
+        layer = ChannelRecalib(3, RecalibVariant.srm(), rng=rng)
         x = Tensor((rng.normal(size=(4, 3, 3, 3)) * 10).astype(np.float32))
         g = layer.gates(x).data
         assert (g > 0).all() and (g < 1).all()
@@ -267,7 +266,7 @@ class TestChannelRecalib:
 
 class TestSEBlock:
     def test_zero_excitation_gives_half(self):
-        layer = se_layer(4, reduction=2, rng=np.random.default_rng(0))
+        layer = ChannelRecalib(4, RecalibVariant.se(2), rng=np.random.default_rng(0))
         layer.integrate.fc1.weight.data[...] = 0.0
         layer.integrate.fc1.bias.data[...] = 0.0
         layer.integrate.fc2.weight.data[...] = 0.0
@@ -278,14 +277,14 @@ class TestSEBlock:
 
     def test_squeeze_equals_avg_pool(self):
         rng = np.random.default_rng(2)
-        layer = se_layer(4, reduction=2, rng=rng)
+        layer = ChannelRecalib(4, RecalibVariant.se(2), rng=rng)
         x = Tensor(rng.normal(size=(2, 4, 5, 5)).astype(np.float32))
         t = layer.pool(x).data
         np.testing.assert_array_equal(t[..., 0], global_pool(x, "avg").data)
 
     def test_matches_independent_composition(self):
         rng = np.random.default_rng(3)
-        layer = se_layer(4, reduction=2, rng=rng)
+        layer = ChannelRecalib(4, RecalibVariant.se(2), rng=rng)
         x = rng.normal(size=(2, 4, 5, 5)).astype(np.float32)
         out = layer(Tensor(x)).data
         squeeze = x.mean(axis=(2, 3))
@@ -295,38 +294,38 @@ class TestSEBlock:
         assert np.abs(out - want).max() < 1e-6
 
     def test_hidden_width_floor(self):
-        layer = se_layer(8, reduction=16)
+        layer = ChannelRecalib(8, RecalibVariant.se(16))
         assert layer.integrate.fc1.out_features == 1  # max(1, floor(8/16))
 
     def test_bad_reduction_rejected(self):
         with pytest.raises(ValueError):
-            se_layer(8, reduction=0)
+            RecalibVariant.se(0)
 
 
 class TestMakeVariant:
     def test_avg_only_cfc_is_d1(self):
-        layer = make_variant(4, RecalibVariant(pooling=("avg",), integration="cfc"))
+        layer = ChannelRecalib(4, RecalibVariant(pooling=("avg",), integration="cfc"))
         assert isinstance(layer.integrate, StyleIntegration)
         assert layer.integrate.d == 1 and layer.integrate.bn is not None
 
     def test_canonical_srm_d2(self):
-        layer = make_variant(4, RecalibVariant.srm())
+        layer = ChannelRecalib(4, RecalibVariant.srm())
         assert layer.integrate.d == 2 and layer.pool.pooling == ("avg", "std")
 
     def test_sp_mlp_no_bn(self):
         v = RecalibVariant(pooling=("avg", "std"), integration="mlp", use_bn=False)
-        layer = make_variant(8, v)
+        layer = ChannelRecalib(8, v)
         assert isinstance(layer.integrate, MlpIntegration)
         assert layer.integrate.bn is None
         assert layer.integrate.fc1.in_features == 16  # C * d concatenated along channels
 
     def test_cfc_without_bn_has_bias(self):
         v = RecalibVariant(pooling=("avg", "std"), integration="cfc", use_bn=False)
-        layer = make_variant(4, v)
+        layer = ChannelRecalib(4, v)
         assert layer.integrate.bn is None and layer.integrate.bias is not None
 
     def test_mlp_fold_rejected(self):
-        layer = make_variant(4, RecalibVariant.se(2))
+        layer = ChannelRecalib(4, RecalibVariant.se(2))
         with pytest.raises(FoldError):
             layer.fold()
 
@@ -338,7 +337,7 @@ class TestBlockGradients:
             worst = 0.0
             for seed in range(3):
                 rng = np.random.default_rng(seed)
-                layer = make_variant(4, RecalibVariant.srm(), rng=rng)
+                layer = ChannelRecalib(4, RecalibVariant.srm(), rng=rng)
                 x = Tensor(rng.normal(size=(2, 4, 3, 3)), dtype=np.float64)
                 params = [x] + layer.parameters()
                 err = grad_check(lambda ts: T.tsum(layer(x)), params, eps=1e-4)
@@ -348,7 +347,7 @@ class TestBlockGradients:
     def test_gates_differentiable_through_tape(self):
         with using_dtype(np.float64):
             rng = np.random.default_rng(0)
-            layer = make_variant(3, RecalibVariant.srm(), rng=rng)
+            layer = ChannelRecalib(3, RecalibVariant.srm(), rng=rng)
             x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True, dtype=np.float64)
             with Tape() as tape:
                 loss = T.tsum(layer(x))

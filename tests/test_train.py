@@ -67,11 +67,15 @@ class TestSgdStep:
     def test_decay_covers_every_trainable_parameter(self):
         model = build_resnet(tiny_cfg(), seed=0)
         params = dict(model.named_parameters())
+        for p in params.values():
+            p.data += 1.0  # no zero entries, so an undecayed parameter cannot match
+        before = {name: p.data.copy() for name, p in params.items()}
         opt = SGD(params, weight_decay=1e-4)
         for p in params.values():
             p.grad = np.zeros_like(p.data)
         opt.step(lr=0.1)
-        assert opt.decay_applied == set(params)
+        for name, p in params.items():
+            np.testing.assert_array_equal(p.data, before[name] - 0.1 * (1e-4 * before[name]), err_msg=name)
 
 
 class TestSchedule:
@@ -232,6 +236,35 @@ class TestTrainLoop:
         other = build_resnet(tiny_cfg(), seed=0)
         with pytest.raises(ValueError, match="hash"):
             load_checkpoint(result.checkpoint_path, other, expect_hash="deadbeef")
+
+    @pytest.mark.parametrize("target", ["none", "se"])
+    def test_mismatched_recalib_rejected_with_key_names(self, tmp_path, target):
+        save_checkpoint(tmp_path / "srm.bin", build_resnet(tiny_cfg("srm"), seed=0), None, 0, "h")
+        other = build_resnet(tiny_cfg(target), seed=1)
+        before = {name: p.data.copy() for name, p in other.named_parameters()}
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(tmp_path / "srm.bin", other)
+        msg = str(exc.value)
+        assert "unexpected ['buffer.stages.0.0.recalib.integrate.bn.num_batches'" in msg
+        assert "'param.stages.1.0.recalib.integrate.weight'" in msg
+        if target == "se":
+            assert "missing ['param.stages.0.0.recalib.integrate.fc1.bias'" in msg
+        else:
+            assert "missing []" in msg
+        for name, p in other.named_parameters():  # nothing is written on a mismatch
+            np.testing.assert_array_equal(p.data, before[name])
+
+    def test_shape_mismatch_and_optimizer_entries_named(self, tmp_path):
+        model = build_resnet(tiny_cfg(), seed=0)
+        save_checkpoint(tmp_path / "c.bin", model, None, 0, "h")
+        wide = ArchitectureConfig(stages=[StageSpec(1, 8, 1), StageSpec(1, 16, 2)], num_classes=5,
+                                  recalib=tiny_cfg().recalib)
+        with pytest.raises(ValueError, match=r"shape mismatch \['param.classifier.weight \(16, 4\) vs \(16, 5\)'"):
+            load_checkpoint(tmp_path / "c.bin", build_resnet(wide, seed=0))
+        # opt.* entries are compared only when an optimizer is passed.
+        twin = build_resnet(tiny_cfg(), seed=0)
+        with pytest.raises(ValueError, match=r"missing \['opt.classifier.bias'"):
+            load_checkpoint(tmp_path / "c.bin", twin, SGD(dict(twin.named_parameters())))
 
     def test_evaluate_counts_correctly(self):
         model = build_resnet(tiny_cfg(), seed=0)
