@@ -14,13 +14,18 @@ Layout (all integers little-endian):
         data   raw little-endian payload, row-major
 
 Writes are bitwise-reproducible for identical inputs, and a read followed by
-a write round-trips byte-identically.
+a write round-trips byte-identically. A write goes to ``<name>.tmp`` in the
+same directory, is fsynced, then replaces the target, so an interrupted write
+leaves the previous file intact. Reading malformed or truncated bytes raises
+only ``ContainerError``.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -64,7 +69,17 @@ def write_container(path: str | Path, entries: dict[str, np.ndarray], meta: dict
         buf.write(struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim))
         buf.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
         buf.write(arr.tobytes())
-    Path(path).write_bytes(buf.getvalue())
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(buf.getvalue())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_container(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
@@ -80,24 +95,36 @@ def read_container(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         off += n
         return chunk
 
+    def text(n: int, what: str) -> str:
+        at = off
+        try:
+            return bytes(take(n)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ContainerError(f"{path}: {what} at offset {at} is not UTF-8") from exc
+
     if bytes(take(4)) != MAGIC:
         raise ContainerError(f"{path}: bad magic, not a container file")
     (version,) = struct.unpack("<I", take(4))
     if version != VERSION:
         raise ContainerError(f"{path}: unsupported container version {version}")
     (meta_len,) = struct.unpack("<I", take(4))
-    meta = json.loads(bytes(take(meta_len)).decode("utf-8"))
+    try:
+        meta = json.loads(text(meta_len, "meta"))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ContainerError(f"{path}: meta is not valid JSON ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise ContainerError(f"{path}: meta is a JSON {type(meta).__name__}, not an object")
     (count,) = struct.unpack("<I", take(4))
     entries: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = bytes(take(name_len)).decode("utf-8")
+        name = text(name_len, "entry name")
         code, ndim = struct.unpack("<BB", take(2))
         if code not in _CODE_DTYPES:
             raise ContainerError(f"{path}: unknown dtype code {code} for entry {name!r}")
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
         dtype = _CODE_DTYPES[code]
-        nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
+        nbytes = math.prod(dims) * dtype.itemsize
         data = np.frombuffer(take(nbytes), dtype=dtype).reshape(dims).copy()
         entries[name] = data
     return entries, meta

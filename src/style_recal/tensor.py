@@ -543,6 +543,11 @@ def scale_channels(x: Tensor, g: Tensor) -> Tensor:
     return _make(out, (x, g), backward)
 
 
+# Patch-matrix bytes that conv2d lowers at once: about half of a 2 MiB
+# per-core L2, so a slice's patches stay in cache between im2col and its gemm.
+_PATCH_BYTES = 1 << 20
+
+
 def _im2col(x: np.ndarray, k: int, stride: int, padding: int):
     """Lower NCHW patches to a (C*k*k, N*Ho*Wo) matrix for a single gemm."""
     n, c, h, w = x.shape
@@ -565,11 +570,18 @@ def _im2col(x: np.ndarray, k: int, stride: int, padding: int):
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of an NCHW input with an OIkk weight, no bias.
 
-    Lowered to a patch-matrix (im2col) multiply. The weight gradient reuses the
-    saved patch matrix. For stride 1 with ``padding <= k - 1`` the input
-    gradient is the same lowering applied to the output gradient, padded by
+    Lowered to patch-matrix (im2col) multiplies, a slice of the batch at a
+    time: the batch is split into ``ceil(whole-batch patch bytes /
+    _PATCH_BYTES)`` near-equal slices (at most one per image), and each slice's
+    gemm result is stored straight into the NCHW output. A conv whose whole
+    patch matrix fits in the budget is one slice. Only the last slice's patch
+    matrix is kept for the backward, which walks the slices last-to-first and
+    lowers the input again for the others; the weight gradient sums the
+    per-slice terms. For stride 1 with ``padding <= k - 1`` a slice's input
+    gradient is the same lowering applied to its output gradient, padded by
     ``k - 1 - padding`` and correlated with the flipped, in/out-swapped kernel;
-    otherwise patch-column gradients are scattered back onto the input.
+    otherwise patch-column gradients are scattered back onto the input. No
+    input gradient is computed for an input that does not require one.
     """
     x = _as_tensor(x)
     weight = _as_tensor(weight)
@@ -587,29 +599,44 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     cout, cin, k, _ = weight.shape
     if h + 2 * padding < k or w + 2 * padding < k:
         raise ShapeError(f"conv2d: kernel {k} larger than padded input {x.shape} with padding={padding}")
+    hp, wp = h + 2 * padding, w + 2 * padding
+    ho = (hp - k) // stride + 1
+    wo = (wp - k) // stride + 1
 
-    cols, ho, wo = _im2col(x.data, k, stride, padding)
+    image_bytes = cin * k * k * ho * wo * x.data.itemsize
+    slices = max(1, min(n, -(-n * image_bytes // _PATCH_BYTES)))
+    bounds = [n * i // slices for i in range(slices + 1)]
+    spans = list(zip(bounds[:-1], bounds[1:]))
     w2 = weight.data.reshape(cout, cin * k * k)
-    out = np.ascontiguousarray((w2 @ cols).reshape(cout, n, ho, wo).transpose(1, 0, 2, 3))
+    out = np.empty((n, cout, ho, wo), dtype=np.result_type(w2, x.data))
+    for a, b in spans:
+        cols, _, _ = _im2col(x.data[a:b], k, stride, padding)
+        out[a:b] = (w2 @ cols).reshape(cout, b - a, ho, wo).transpose(1, 0, 2, 3)
 
     def backward(g):
-        g2 = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(cout, n * ho * wo)
-        gw = (cols @ g2.T).T.reshape(weight.shape)
-        if stride == 1 and padding <= k - 1:
+        gx = np.empty(x.shape, dtype=g.dtype) if x.requires_grad else None
+        correlate = stride == 1 and padding <= k - 1
+        if correlate:
             wf = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
-            gcols, _, _ = _im2col(g, k, 1, k - 1 - padding)
-            gx = np.ascontiguousarray((wf @ gcols).reshape(cin, n, h, w).transpose(1, 0, 2, 3))
-            return gx, gw
-        gcols = (w2.T @ g2).reshape(cin, k, k, n, ho, wo)
-        hp, wp = h + 2 * padding, w + 2 * padding
-        gxt = np.zeros((cin, n, hp, wp), dtype=g.dtype)
-        for i in range(k):
-            for j in range(k):
-                gxt[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, i, j]
-        gx = np.ascontiguousarray(gxt.transpose(1, 0, 2, 3))
-        if padding:
-            gx = gx[:, :, padding : padding + h, padding : padding + w]
-        return gx, gw
+        gwt = None
+        for a, b in reversed(spans):
+            lowered = cols if b == n else _im2col(x.data[a:b], k, stride, padding)[0]
+            g2 = np.ascontiguousarray(g[a:b].transpose(1, 0, 2, 3)).reshape(cout, (b - a) * ho * wo)
+            term = lowered @ g2.T
+            gwt = term if gwt is None else gwt + term
+            if gx is None:
+                continue
+            if correlate:
+                gcols, _, _ = _im2col(g[a:b], k, 1, k - 1 - padding)
+                gx[a:b] = (wf @ gcols).reshape(cin, b - a, h, w).transpose(1, 0, 2, 3)
+            else:
+                gcols = (w2.T @ g2).reshape(cin, k, k, b - a, ho, wo)
+                gxt = np.zeros((cin, b - a, hp, wp), dtype=g.dtype)
+                for i in range(k):
+                    for j in range(k):
+                        gxt[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, i, j]
+                gx[a:b] = gxt[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3)
+        return gx, gwt.T.reshape(weight.shape)
 
     return _make(out, (x, weight), backward)
 

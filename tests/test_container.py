@@ -1,7 +1,20 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from style_recal import container
 from style_recal.container import ContainerError, read_container, write_container
+
+
+def _sample_entries():
+    return {
+        "weights": np.arange(12, dtype=np.float32).reshape(3, 4),
+        "step": np.array(7, dtype=np.int64),
+        "bytes": np.array([0, 255], dtype=np.uint8),
+    }
 
 
 def test_roundtrip_bitwise(tmp_path):
@@ -55,3 +68,104 @@ def test_truncated_rejected(tmp_path):
 def test_unsupported_dtype_rejected(tmp_path):
     with pytest.raises(ContainerError, match="dtype"):
         write_container(tmp_path / "x.bin", {"c": np.zeros(2, dtype=np.complex64)}, {})
+
+
+class _FailingFile:
+    """File wrapper whose write stores half of its bytes, then fails."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def write(self, data):
+        self._f.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+
+def test_interrupted_write_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "checkpoint.bin"
+    write_container(path, _sample_entries(), {"step": 1})
+    before = path.read_bytes()
+    monkeypatch.setattr(container, "open", lambda p, mode: _FailingFile(open(p, mode)), raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write_container(path, {"x": np.ones(1000, dtype=np.float64)}, {"step": 2})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
+
+
+def _patched(tmp_path, old: bytes, new: bytes):
+    """A one-entry container ({"x": [1.0]}, meta {}) with one byte run replaced."""
+    path = tmp_path / "p.bin"
+    write_container(path, {"x": np.ones(1, dtype=np.float32)}, {})
+    raw = path.read_bytes()
+    assert raw.count(old) == 1
+    path.write_bytes(raw.replace(old, new))
+    return path
+
+
+@pytest.mark.parametrize("old,new,match", [
+    (b"{}", b"{]", "not valid JSON"),
+    (b"{}", b"[]", "not an object"),
+    (b"{}", b"\xff}", "meta at offset 12 is not UTF-8"),
+    (b"\x01\x00x", b"\x01\x00\xff", "entry name at offset 20 is not UTF-8"),
+])
+def test_undecodable_meta_or_name_raises_container_error(tmp_path, old, new, match):
+    with pytest.raises(ContainerError, match=match):
+        read_container(_patched(tmp_path, old, new))
+
+
+def test_deeply_nested_meta_raises_container_error(tmp_path):
+    meta = b"[" * 100_000
+    path = tmp_path / "deep.bin"
+    path.write_bytes(container.MAGIC + struct.pack("<II", container.VERSION, len(meta)) + meta)
+    with pytest.raises(ContainerError, match="not valid JSON"):
+        read_container(path)
+
+
+def test_overflowing_dims_raise_container_error(tmp_path):
+    # 4 dims of 2**16: the element count 2**64 wraps to 0 in int64 arithmetic.
+    entry = struct.pack("<H", 1) + b"x" + struct.pack("<BB4I", 0, 4, *[2**16] * 4)
+    path = tmp_path / "huge.bin"
+    path.write_bytes(container.MAGIC + struct.pack("<II", container.VERSION, 2) + b"{}"
+                     + struct.pack("<I", 1) + entry + b"\x00" * 64)
+    with pytest.raises(ContainerError, match="truncated"):
+        read_container(path)
+
+
+@pytest.fixture(scope="module")
+def valid_container(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "valid.bin"
+    write_container(path, _sample_entries(), {"kind": "checkpoint", "step": 3, "hash": "abc"})
+    return path
+
+
+def test_every_truncation_raises_container_error(valid_container):
+    raw = valid_container.read_bytes()
+    trunc = valid_container.with_name("trunc.bin")
+    for n in range(len(raw)):
+        trunc.write_bytes(raw[:n])
+        with pytest.raises(ContainerError):
+            read_container(trunc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupted_bytes_read_or_raise_container_error(valid_container, data):
+    raw = bytearray(valid_container.read_bytes())
+    flips = data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)), min_size=1, max_size=8))
+    for at, mask in flips:
+        raw[at] ^= mask
+    cut = data.draw(st.integers(0, len(raw)))
+    path = valid_container.with_name("fuzzed.bin")
+    path.write_bytes(bytes(raw[:cut]))
+    try:
+        entries, meta = read_container(path)
+    except ContainerError:
+        return
+    assert isinstance(meta, dict)
+    assert all(isinstance(v, np.ndarray) for v in entries.values())

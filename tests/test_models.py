@@ -16,7 +16,7 @@ from style_recal.models import (
     parse_recalib,
 )
 from style_recal.recalib import RecalibVariant
-from style_recal.tensor import Tensor, relu
+from style_recal.tensor import Tape, Tensor, cross_entropy, relu
 
 
 def as_dataset(images: np.ndarray) -> Dataset:
@@ -210,3 +210,30 @@ def test_parameter_and_buffer_layout_is_pinned():
         rows.append([arch, recalib, entries])
     assert sum(len(r[2]) for r in rows) == 890
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == LAYOUT_DIGEST
+
+
+def test_stem_conv_computes_no_image_gradient():
+    """The image needs no gradient: the stem's backward skips it and no parameter gradient moves."""
+    model = build_resnet(cifar_resnet_config(20, "srm"), seed=0)
+    model.train()
+    rng = np.random.default_rng(0)
+    images = rng.normal(size=(4, 3, 16, 16)).astype(np.float32)
+    labels = rng.integers(0, 10, size=4)
+
+    def step(image_grad):
+        for p in model.parameters():
+            p.grad = None
+        x = Tensor(images, requires_grad=image_grad)
+        with Tape() as tape:
+            loss = cross_entropy(model(x), labels)
+        tape.backward(loss)
+        return tape, x, {name: p.grad.copy() for name, p in model.named_parameters()}
+
+    tape, x, grads = step(False)
+    ((out, _, backward),) = [r for r in tape._records if r[1][0] is x]
+    assert backward(out.grad)[0] is None
+    _, x_grad, grads_with_image = step(True)
+    assert x_grad.grad is not None
+    assert grads.keys() == grads_with_image.keys()
+    for name, g in grads.items():
+        np.testing.assert_array_equal(g, grads_with_image[name], err_msg=name)

@@ -27,6 +27,14 @@ def naive_conv2d(x, w, stride=1, padding=0):
     return out
 
 
+# (1,1,0) .. (7,1,3): stride-1 correlation path; (3,2,1), (1,2,0), (7,2,3): strided
+# scatter path; (3,1,3): padding >= k falls back to the scatter at stride 1.
+CONV_CASES = [
+    (1, 1, 0), (3, 1, 0), (3, 1, 1), (3, 1, 2), (5, 1, 2), (7, 1, 3),
+    (3, 2, 1), (1, 2, 0), (7, 2, 3), (3, 1, 3),
+]
+
+
 class TestConv2d:
     def test_all_ones_center_and_corners(self):
         x = Tensor(np.ones((1, 1, 3, 3)))
@@ -53,12 +61,7 @@ class TestConv2d:
         rel = np.abs(got - want) / np.maximum(np.abs(want), 1e-12)
         assert rel.max() < 1e-6
 
-    # (1,1,0) .. (7,1,3): stride-1 correlation path; (3,2,1), (1,2,0), (7,2,3): strided
-    # scatter path; (3,1,3): padding >= k falls back to the scatter at stride 1.
-    @pytest.mark.parametrize("k,stride,padding", [
-        (1, 1, 0), (3, 1, 0), (3, 1, 1), (3, 1, 2), (5, 1, 2), (7, 1, 3),
-        (3, 2, 1), (1, 2, 0), (7, 2, 3), (3, 1, 3),
-    ])
+    @pytest.mark.parametrize("k,stride,padding", CONV_CASES)
     def test_gradients_match_finite_differences(self, k, stride, padding):
         with using_dtype(np.float64):
             rng = np.random.default_rng(k * 100 + stride * 10 + padding)
@@ -81,6 +84,96 @@ class TestConv2d:
     def test_kernel_larger_than_input_rejected(self):
         with pytest.raises(ShapeError):
             T.conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
+
+    def test_input_without_grad_gets_no_gradient(self):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(2, 2, 5, 5)))
+        w = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        with Tape() as tape:
+            out = T.conv2d(x, w, 1, 1)
+        ((_, _, backward),) = tape._records
+        gx, gw = backward(np.ones_like(out.data))
+        assert gx is None
+        assert gw.shape == w.shape
+
+
+class TestSlicedConv2d:
+    """conv2d with ``_PATCH_BYTES`` shrunk so that a batch of 5 lowers as slices of 1, 2 and 2 images.
+
+    Bit-identity with the one-slice result is asserted on model-sized operands
+    (the gemm of an image's patches then rounds the same whatever the slice
+    width); on the tiny oracle shapes the gemm's rounding depends on the matrix
+    width, so those compare against the loop oracle and finite differences.
+    """
+
+    @staticmethod
+    def _split(monkeypatch, x, w, stride, padding, images=2):
+        """Budget ``images`` images' patch matrices; return the batch sizes the forward lowers."""
+        k = w.shape[2]
+        ho = (x.shape[2] + 2 * padding - k) // stride + 1
+        wo = (x.shape[3] + 2 * padding - k) // stride + 1
+        monkeypatch.setattr(T, "_PATCH_BYTES", images * w.shape[1] * k * k * ho * wo * x.itemsize)
+        lowered = []
+        im2col = T._im2col
+
+        def counting(a, *args):
+            lowered.append(a.shape[0])
+            return im2col(a, *args)
+
+        monkeypatch.setattr(T, "_im2col", counting)
+        T.conv2d(Tensor(x), Tensor(w), stride, padding)
+        monkeypatch.setattr(T, "_im2col", im2col)
+        return lowered
+
+    @staticmethod
+    def _step(x, w, stride, padding):
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        with Tape() as tape:
+            out = T.conv2d(xt, wt, stride, padding)
+            loss = T.tsum(T.mul(out, out))
+        tape.backward(loss)
+        return out.data, xt.grad, wt.grad
+
+    # Stem, strided 3x3, 1x1 projection, padding >= k, last stage.
+    @pytest.mark.parametrize("cin,cout,k,stride,padding,size", [
+        (3, 16, 3, 1, 1, 32), (16, 32, 3, 2, 1, 32), (16, 32, 1, 2, 0, 32),
+        (16, 16, 3, 1, 3, 16), (64, 64, 3, 1, 1, 8),
+    ])
+    def test_matches_one_slice(self, monkeypatch, cin, cout, k, stride, padding, size):
+        rng = np.random.default_rng(cin + k + stride + padding)
+        x = rng.normal(size=(5, cin, size, size))
+        w = rng.normal(size=(cout, cin, k, k))
+        assert self._split(monkeypatch, x, w, stride, padding, images=5) == [5]
+        out_whole, gx_whole, gw_whole = self._step(x, w, stride, padding)
+        assert self._split(monkeypatch, x, w, stride, padding) == [1, 2, 2]
+        out, gx, gw = self._step(x, w, stride, padding)
+        np.testing.assert_array_equal(out, out_whole)
+        np.testing.assert_array_equal(gx, gx_whole)
+        # The weight gradient sums per-slice terms: same value, re-associated.
+        assert np.abs(gw - gw_whole).max() <= 1e-12 * np.abs(gw_whole).max()
+
+    @pytest.mark.parametrize("k,stride,padding", CONV_CASES)
+    def test_forward_matches_naive_loop_oracle(self, monkeypatch, k, stride, padding):
+        rng = np.random.default_rng(k * 100 + stride * 10 + padding)
+        x, w = rng.normal(size=(5, 2, 6, 5)), rng.normal(size=(3, 2, k, k))
+        assert self._split(monkeypatch, x, w, stride, padding) == [1, 2, 2]
+        got = T.conv2d(Tensor(x), Tensor(w), stride, padding).data
+        want = naive_conv2d(x, w, stride=stride, padding=padding)
+        assert (np.abs(got - want) / np.maximum(np.abs(want), 1e-12)).max() < 1e-6
+
+    @pytest.mark.parametrize("k,stride,padding", CONV_CASES)
+    def test_gradients_match_finite_differences(self, monkeypatch, k, stride, padding):
+        rng = np.random.default_rng(k * 100 + stride * 10 + padding)
+        x, w = rng.normal(size=(5, 2, 6, 5)), rng.normal(size=(3, 2, k, k))
+        assert self._split(monkeypatch, x, w, stride, padding) == [1, 2, 2]
+        with using_dtype(np.float64):
+            err = grad_check(
+                lambda ts: T.tsum(T.mul(T.conv2d(ts[0], ts[1], stride, padding),
+                                        T.conv2d(ts[0], ts[1], stride, padding))),
+                [Tensor(x), Tensor(w)],
+                eps=1e-5,
+            )
+        assert err < 1e-4
 
 
 class TestElementwiseAndReductions:

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from style_recal.data import SynthStyleSpec, synth_style
-from style_recal.models import ArchitectureConfig, StageSpec, build_resnet
-from style_recal.tensor import Parameter
+from style_recal.models import ArchitectureConfig, StageSpec, build_resnet, cifar_resnet_config
+from style_recal.tensor import Parameter, Tape, Tensor, cross_entropy
 from style_recal.train import (
     SGD,
     TrainConfig,
@@ -295,3 +297,27 @@ def test_write_metrics_with_eval_column(tmp_path):
     write_metrics_csv(tmp_path / "m.csv", rows)
     head = (tmp_path / "m.csv").read_text().splitlines()[0]
     assert head == "step,lr,loss,top1,test_top1"
+
+
+def test_train_step_memory_peak_is_bounded():
+    """A resnet20+SRM step at 32x32, batch 32 allocates at most 320 MiB at its peak.
+
+    Measured with tracemalloc: 419 MiB when every conv kept its whole-batch
+    patch matrix until the backward, 234 MiB with batch-sliced lowering.
+    """
+    model = build_resnet(cifar_resnet_config(20, "srm"), seed=0)
+    model.train()
+    opt = SGD(dict(model.named_parameters()), momentum=0.9, weight_decay=5e-4)
+    rng = np.random.default_rng(0)
+    images = rng.normal(size=(32, 3, 32, 32)).astype(np.float32)
+    labels = rng.integers(0, 10, size=32)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss = cross_entropy(model(Tensor(images)), labels)
+        tape.backward(loss)
+        assert opt.step(0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 320 * 2**20, f"train step peak {peak / 2**20:.1f} MiB"
