@@ -548,23 +548,44 @@ def scale_channels(x: Tensor, g: Tensor) -> Tensor:
 _PATCH_BYTES = 1 << 20
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, padding: int):
-    """Lower NCHW patches to a (C*k*k, N*Ho*Wo) matrix for a single gemm."""
+def _im2col(x: np.ndarray, k: int, stride: int, padding: int, scratch: dict | None = None):
+    """Lower NCHW patches to a (C*k*k, N*Ho*Wo) matrix for a single gemm.
+
+    Shift first: at stride 1 the k column-shifted, zero-padded copies
+    ``xs[n, j, c, y, :] = xpad[n, c, y, j : j + wo]`` are made once, and one
+    copy from a strided view of ``xs`` writes every patch row as a single
+    contiguous run of ``ho*wo`` values per image. A strided conv, whose runs
+    are ``wo`` long either way, reads its taps from one padded copy instead.
+
+    The slices of one batch share a ``scratch`` dict: the padded buffer, whose
+    zero border is then written once, and the patch matrix, which each call
+    overwrites.
+    """
     n, c, h, w = x.shape
     hp, wp = h + 2 * padding, w + 2 * padding
-    if padding:
-        # One pass writes the zero-padded copy straight into channel-major order.
-        xt = np.zeros((c, n, hp, wp), dtype=x.dtype)
-        xt[:, :, padding : padding + h, padding : padding + w] = x.transpose(1, 0, 2, 3)
-    else:
-        xt = x.transpose(1, 0, 2, 3)
     ho = (hp - k) // stride + 1
     wo = (wp - k) // stride + 1
-    cols = np.empty((c, k, k, n, ho, wo), dtype=x.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[:, i, j] = xt[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-    return cols.reshape(c * k * k, n * ho * wo), ho, wo
+    shifts, width = (k, wo) if stride == 1 else (1, wp)
+    scratch = {} if scratch is None else scratch
+    if scratch.get("n", 0) < n:
+        padded = padding or shifts > 1
+        scratch.update(n=n, xs=np.zeros((n, shifts, c, hp, width), dtype=x.dtype) if padded else None,
+                       cols=np.empty(c * k * k * n * ho * wo, dtype=x.dtype))
+    if scratch["xs"] is None:
+        xs = np.ascontiguousarray(x)[:, None]  # no padding and no shift: the input is the copy
+    else:
+        xs = scratch["xs"][:n]
+        for j in range(shifts):
+            # Columns lo..hi-1 of copy j hold input columns j + col - padding, those inside [0, w).
+            lo, hi = max(0, padding - j), min(width, w + padding - j)
+            if lo < hi:
+                xs[:, j, :, padding : padding + h, lo:hi] = x[:, :, :, j + lo - padding : j + hi - padding]
+    sn, sj, sc, sy, sx = xs.strides
+    taps = np.ndarray((c, k, k, n, ho, wo), xs.dtype, xs, 0,
+                      (sc, sy, sj if stride == 1 else sx, sn, stride * sy, stride * sx))
+    cols = scratch["cols"][: c * k * k * n * ho * wo].reshape(c, k, k, n, ho, wo)
+    np.copyto(cols, taps)
+    return cols.reshape(c * k * k, n * ho * wo)
 
 
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -574,14 +595,27 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     time: the batch is split into ``ceil(whole-batch patch bytes /
     _PATCH_BYTES)`` near-equal slices (at most one per image), and each slice's
     gemm result is stored straight into the NCHW output. A conv whose whole
-    patch matrix fits in the budget is one slice. Only the last slice's patch
-    matrix is kept for the backward, which walks the slices last-to-first and
-    lowers the input again for the others; the weight gradient sums the
-    per-slice terms. For stride 1 with ``padding <= k - 1`` a slice's input
-    gradient is the same lowering applied to its output gradient, padded by
-    ``k - 1 - padding`` and correlated with the flipped, in/out-swapped kernel;
-    otherwise patch-column gradients are scattered back onto the input. No
-    input gradient is computed for an input that does not require one.
+    patch matrix fits in the budget is one slice. The backward walks the
+    slices last-to-first, and the weight gradient sums the per-slice terms.
+
+    Which operand the backward lowers depends on the conv's geometry alone,
+    never on whether the input requires a gradient, so the weight gradient is
+    the same either way:
+
+    * stride 1, ``padding <= k - 1`` and ``cout <= cin``: only the output
+      gradient, padded by ``k - 1 - padding``. Its patch matrix ``gcols``
+      gives the input gradient (correlated with the flipped, in/out-swapped
+      kernel) and the weight gradient,
+      ``gW[o, c, i, j] = (gcols @ x2.T)[(o, k-1-i, k-1-j), c]`` with ``x2``
+      the slice's input as a (C, N*H*W) matrix. The forward keeps no patches.
+    * otherwise the input, again, for the weight gradient; the forward keeps
+      the last slice's patches. The input gradient lowers the output gradient
+      as above when stride is 1 and ``padding <= k - 1``, and scatters
+      patch-column gradients back onto the input otherwise. A stem with fewer
+      input than output channels stays here: lowering its output gradient
+      would cost ``cout / cin`` times lowering its input.
+
+    No input gradient is computed for an input that does not require one.
     """
     x = _as_tensor(x)
     weight = _as_tensor(weight)
@@ -609,25 +643,35 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     spans = list(zip(bounds[:-1], bounds[1:]))
     w2 = weight.data.reshape(cout, cin * k * k)
     out = np.empty((n, cout, ho, wo), dtype=np.result_type(w2, x.data))
+    scratch = {}
     for a, b in spans:
-        cols, _, _ = _im2col(x.data[a:b], k, stride, padding)
+        cols = _im2col(x.data[a:b], k, stride, padding, scratch)
         out[a:b] = (w2 @ cols).reshape(cout, b - a, ho, wo).transpose(1, 0, 2, 3)
+    correlate = stride == 1 and padding <= k - 1
+    lower_g = correlate and cout <= cin
+    if lower_g:
+        cols = None
 
     def backward(g):
         gx = np.empty(x.shape, dtype=g.dtype) if x.requires_grad else None
-        correlate = stride == 1 and padding <= k - 1
         if correlate:
             wf = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
         gwt = None
+        g_scratch, x_scratch = {}, {}
         for a, b in reversed(spans):
-            lowered = cols if b == n else _im2col(x.data[a:b], k, stride, padding)[0]
-            g2 = np.ascontiguousarray(g[a:b].transpose(1, 0, 2, 3)).reshape(cout, (b - a) * ho * wo)
-            term = lowered @ g2.T
+            if lower_g or (correlate and gx is not None):
+                gcols = _im2col(g[a:b], k, 1, k - 1 - padding, g_scratch)
+            if lower_g:
+                x2 = np.ascontiguousarray(x.data[a:b].transpose(1, 0, 2, 3)).reshape(cin, (b - a) * h * w)
+                term = gcols @ x2.T
+            else:
+                lowered = cols if b == n else _im2col(x.data[a:b], k, stride, padding, x_scratch)
+                g2 = np.ascontiguousarray(g[a:b].transpose(1, 0, 2, 3)).reshape(cout, (b - a) * ho * wo)
+                term = lowered @ g2.T
             gwt = term if gwt is None else gwt + term
             if gx is None:
                 continue
             if correlate:
-                gcols, _, _ = _im2col(g[a:b], k, 1, k - 1 - padding)
                 gx[a:b] = (wf @ gcols).reshape(cin, b - a, h, w).transpose(1, 0, 2, 3)
             else:
                 gcols = (w2.T @ g2).reshape(cin, k, k, b - a, ho, wo)
@@ -636,7 +680,11 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
                     for j in range(k):
                         gxt[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, i, j]
                 gx[a:b] = gxt[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3)
-        return gx, gwt.T.reshape(weight.shape)
+        if lower_g:
+            gw = gwt.reshape(cout, k, k, cin)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+        else:
+            gw = gwt.T.reshape(weight.shape)
+        return gx, np.ascontiguousarray(gw)
 
     return _make(out, (x, weight), backward)
 

@@ -27,12 +27,63 @@ def naive_conv2d(x, w, stride=1, padding=0):
     return out
 
 
+def naive_im2col(x, k, stride=1, padding=0):
+    """Direct-indexing patch matrix: row (c, i, j), column (n, y, x) holds xpad[n, c, i + stride*y, j + stride*x]."""
+    n, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    ho = (h + 2 * padding - k) // stride + 1
+    wo = (w + 2 * padding - k) // stride + 1
+    cols = np.empty((c * k * k, n * ho * wo), dtype=x.dtype)
+    for ci in range(c):
+        for i in range(k):
+            for j in range(k):
+                for ni in range(n):
+                    for oy in range(ho):
+                        for ox in range(wo):
+                            cols[(ci * k + i) * k + j, (ni * ho + oy) * wo + ox] = (
+                                xp[ni, ci, i + stride * oy, j + stride * ox])
+    return cols
+
+
+def naive_conv2d_weight_grad(x, g, k, stride=1, padding=0):
+    """Direct-sum weight gradient: gW[o, c, i, j] = sum over n, y, x of g[n, o, y, x] * xpad[n, c, i + stride*y, j + stride*x]."""
+    n, cout, ho, wo = g.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    gw = np.zeros((cout, x.shape[1], k, k), dtype=x.dtype)
+    for o in range(cout):
+        for c in range(x.shape[1]):
+            for i in range(k):
+                for j in range(k):
+                    gw[o, c, i, j] = np.sum(g[:, o] * xp[:, c, i : i + stride * ho : stride, j : j + stride * wo : stride])
+    return gw
+
+
 # (1,1,0) .. (7,1,3): stride-1 correlation path; (3,2,1), (1,2,0), (7,2,3): strided
 # scatter path; (3,1,3): padding >= k falls back to the scatter at stride 1.
 CONV_CASES = [
     (1, 1, 0), (3, 1, 0), (3, 1, 1), (3, 1, 2), (5, 1, 2), (7, 1, 3),
     (3, 2, 1), (1, 2, 0), (7, 2, 3), (3, 1, 3),
 ]
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 7])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_matches_direct_indexing(self, k, stride):
+        rng = np.random.default_rng(k * 10 + stride)
+        x = rng.normal(size=(3, 2, 9, 7)).astype(np.float32)
+        for padding in range(k + 1):
+            want = naive_im2col(x, k, stride, padding)
+            ho = (9 + 2 * padding - k) // stride + 1
+            wo = (7 + 2 * padding - k) // stride + 1
+            assert want.shape == (2 * k * k, 3 * ho * wo)
+            for arr in (x, np.asfortranarray(x)):
+                np.testing.assert_array_equal(T._im2col(arr, k, stride, padding), want)
+            # One scratch serving slices of 2, 1 and 3 images, the last larger than the buffers.
+            scratch = {}
+            for images in (2, 1, 3):
+                got = T._im2col(x[:images], k, stride, padding, scratch)
+                np.testing.assert_array_equal(got, want[:, : images * ho * wo])
 
 
 class TestConv2d:
@@ -74,6 +125,35 @@ class TestConv2d:
                 eps=1e-5,
             )
             assert err < 1e-4
+
+    @pytest.mark.parametrize("k,stride,padding", CONV_CASES)
+    def test_gradients_match_finite_differences_cout_le_cin(self, k, stride, padding):
+        """Fewer output than input channels: stride-1 cases take both gradients from the output gradient's patches."""
+        with using_dtype(np.float64):
+            rng = np.random.default_rng(k * 100 + stride * 10 + padding)
+            x = Tensor(rng.normal(size=(2, 3, 6, 5)), dtype=np.float64)
+            w = Tensor(rng.normal(size=(2, 3, k, k)), dtype=np.float64)
+            err = grad_check(
+                lambda ts: T.tsum(T.mul(T.conv2d(ts[0], ts[1], stride, padding),
+                                        T.conv2d(ts[0], ts[1], stride, padding))),
+                [x, w],
+                eps=1e-5,
+            )
+            assert err < 1e-4
+
+    @pytest.mark.parametrize("cin,cout", [(2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("k,stride,padding", CONV_CASES)
+    def test_weight_gradient_matches_direct_sum(self, cin, cout, k, stride, padding):
+        rng = np.random.default_rng(k * 100 + stride * 10 + padding + cin)
+        x = Tensor(rng.normal(size=(2, cin, 6, 5)), dtype=np.float64)
+        w = Tensor(rng.normal(size=(cout, cin, k, k)), dtype=np.float64, requires_grad=True)
+        with Tape() as tape:
+            out = T.conv2d(x, w, stride, padding)
+        g = rng.normal(size=out.shape)
+        ((_, _, backward),) = tape._records
+        _, gw = backward(g)
+        want = naive_conv2d_weight_grad(x.data, g, k, stride, padding)
+        assert np.abs(gw - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_shape_mismatch_names_both_shapes(self):
         x = Tensor(np.zeros((1, 2, 4, 4)))
@@ -134,10 +214,12 @@ class TestSlicedConv2d:
         tape.backward(loss)
         return out.data, xt.grad, wt.grad
 
-    # Stem, strided 3x3, 1x1 projection, padding >= k, last stage.
+    # Stem, strided 3x3, 1x1 projection, padding >= k, last stage; then fewer output
+    # than input channels at 3x3, 1x1 and 5x5.
     @pytest.mark.parametrize("cin,cout,k,stride,padding,size", [
         (3, 16, 3, 1, 1, 32), (16, 32, 3, 2, 1, 32), (16, 32, 1, 2, 0, 32),
         (16, 16, 3, 1, 3, 16), (64, 64, 3, 1, 1, 8),
+        (32, 16, 3, 1, 1, 16), (32, 16, 1, 1, 0, 16), (32, 16, 5, 1, 2, 16),
     ])
     def test_matches_one_slice(self, monkeypatch, cin, cout, k, stride, padding, size):
         rng = np.random.default_rng(cin + k + stride + padding)
@@ -174,6 +256,63 @@ class TestSlicedConv2d:
                 eps=1e-5,
             )
         assert err < 1e-4
+
+    @pytest.mark.parametrize("k,stride,padding", CONV_CASES)
+    def test_gradients_match_finite_differences_cout_le_cin(self, monkeypatch, k, stride, padding):
+        rng = np.random.default_rng(k * 100 + stride * 10 + padding)
+        x, w = rng.normal(size=(5, 3, 6, 5)), rng.normal(size=(2, 3, k, k))
+        assert self._split(monkeypatch, x, w, stride, padding) == [1, 2, 2]
+        with using_dtype(np.float64):
+            err = grad_check(
+                lambda ts: T.tsum(T.mul(T.conv2d(ts[0], ts[1], stride, padding),
+                                        T.conv2d(ts[0], ts[1], stride, padding))),
+                [Tensor(x), Tensor(w)],
+                eps=1e-5,
+            )
+        assert err < 1e-4
+
+    # cout <= cin: the forward lowers each slice's input and the backward each slice's
+    # output gradient. The stem (cout > cin, no image gradient) lowers its input again
+    # for all slices but the kept last one; with an image gradient it also lowers the
+    # output gradient of every slice.
+    @pytest.mark.parametrize("cin,cout,image_grad,lowerings", [
+        (16, 16, True, 2 * 3), (16, 16, False, 2 * 3), (32, 16, True, 2 * 3),
+        (3, 16, False, 2 * 3 - 1), (3, 16, True, 3 * 3 - 1),
+    ])
+    def test_lowerings_per_train_step(self, monkeypatch, cin, cout, image_grad, lowerings):
+        rng = np.random.default_rng(cin + cout)
+        x = rng.normal(size=(5, cin, 8, 8)).astype(np.float32)
+        w = rng.normal(size=(cout, cin, 3, 3)).astype(np.float32)
+        assert self._split(monkeypatch, x, w, 1, 1) == [1, 2, 2]
+        im2col, calls = T._im2col, []
+
+        def counting(a, *args):
+            calls.append(a.shape[0])
+            return im2col(a, *args)
+
+        monkeypatch.setattr(T, "_im2col", counting)
+        xt, wt = Tensor(x, requires_grad=image_grad), Tensor(w, requires_grad=True)
+        with Tape() as tape:
+            out = T.conv2d(xt, wt, 1, 1)
+            loss = T.tsum(T.mul(out, out))
+        tape.backward(loss)
+        assert len(calls) == lowerings
+
+    @pytest.mark.parametrize("cin,cout", [(16, 16), (3, 16)])
+    def test_weight_gradient_ignores_image_grad(self, monkeypatch, cin, cout):
+        rng = np.random.default_rng(cin * cout)
+        x = rng.normal(size=(5, cin, 8, 8)).astype(np.float32)
+        w = rng.normal(size=(cout, cin, 3, 3)).astype(np.float32)
+        assert self._split(monkeypatch, x, w, 1, 1) == [1, 2, 2]
+        grads = []
+        for image_grad in (True, False):
+            xt, wt = Tensor(x, requires_grad=image_grad), Tensor(w, requires_grad=True)
+            with Tape() as tape:
+                out = T.conv2d(xt, wt, 1, 1)
+                loss = T.tsum(T.mul(out, out))
+            tape.backward(loss)
+            grads.append(wt.grad)
+        np.testing.assert_array_equal(grads[0], grads[1])
 
 
 class TestElementwiseAndReductions:
