@@ -3,7 +3,8 @@
 Values are numpy arrays in row-major NCHW layout. Gradients are recorded on a
 Tape: every differentiable op executed while a tape is active appends one
 record, and ``Tape.backward`` replays the records in exact reverse execution
-order, accumulating gradients additively across fan-out.
+order, accumulating gradients additively across fan-out. Only leaves (tensors
+not made on that tape) keep a ``.grad``.
 
 Two float precisions are supported (float32 for training, float64 for
 finite-difference gradient checks); the active precision is a process-wide
@@ -96,7 +97,7 @@ def using_dtype(dtype):
 class Tensor:
     """A dense floating-point value plus an optional accumulated gradient."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
@@ -114,6 +115,7 @@ class Tensor:
         self.data: np.ndarray = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self._node: tuple[object, int] | None = None  # (tape token, record index) of the op that made it
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -190,10 +192,22 @@ class Tape:
     replaying records last-to-first propagates gradients correctly without an
     explicit sort. Gradient contributions add, which makes fan-out nodes
     accumulate as required.
+
+    A record holds the output dtype, one slot per input and the op's backward
+    closure, never an op output or a constant. An input's slot is the index of
+    the record that made it on this tape, the tensor itself for a leaf that
+    requires a gradient (a parameter, or a tensor made outside this tape), or
+    None. ``backward`` routes intermediate gradients by record index, drops
+    each record and its gradient once it has run, and leaves ``.grad`` on the
+    leaves only. It consumes the tape: the step's activations are freed as the
+    replay passes them, and a second ``backward`` raises. Because memory is
+    freed step after step, ``train()`` has glibc keep it mapped; otherwise the
+    allocator returns it to the kernel and the next step faults it in again.
     """
 
     def __init__(self):
-        self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self._token = object()
+        self._records: list[tuple[np.dtype, tuple[int | Tensor | None, ...], Callable]] = []
 
     def __len__(self) -> int:
         return len(self._records)
@@ -205,25 +219,47 @@ class Tape:
     def __exit__(self, *exc) -> None:
         _pop_tape(self)
 
+    def _slot(self, t: Tensor) -> int | Tensor | None:
+        node = t._node
+        if node is not None and node[0] is self._token:
+            return node[1]
+        return t if t.requires_grad else None
+
     def _record(self, out: Tensor, inputs: tuple[Tensor, ...], backward: Callable) -> None:
-        self._records.append((out, inputs, backward))
+        self._records.append((out.data.dtype, tuple(self._slot(t) for t in inputs), backward))
+        out._node = (self._token, len(self._records) - 1)
 
     def backward(self, loss: Tensor) -> None:
         if loss.size != 1:
             raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
-        if loss.grad is None:
-            loss.grad = np.ones_like(loss.data)
-        for out, inputs, backward in reversed(self._records):
-            if out.grad is None:
+        if self._token is None:
+            raise RuntimeError("backward: this tape was already replayed; record the step on a new Tape")
+        records = self._records
+        grads: list[np.ndarray | None] = [None] * len(records)
+        self._accumulate(grads, self._slot(loss), np.ones_like(loss.data))
+        self._token = None
+        while records:
+            _, slots, backward = records.pop()
+            g = grads.pop()
+            if g is None:
                 continue
-            grads = backward(out.grad)
-            for tensor, grad in zip(inputs, grads):
-                if grad is None or not tensor.requires_grad:
-                    continue
-                if tensor.grad is None:
-                    tensor.grad = grad if grad.dtype == tensor.data.dtype else grad.astype(tensor.data.dtype)
-                else:
-                    tensor.grad = tensor.grad + grad
+            for slot, grad in zip(slots, backward(g)):
+                if grad is not None:
+                    self._accumulate(grads, slot, grad)
+
+    def _accumulate(self, grads: list, slot: int | Tensor | None, grad: np.ndarray) -> None:
+        """Add ``grad`` to record ``slot``'s entry in ``grads``, or to leaf ``slot``'s ``.grad``."""
+        if isinstance(slot, int):
+            grads[slot] = _sum_grad(grads[slot], grad, self._records[slot][0])
+        elif slot is not None:
+            slot.grad = _sum_grad(slot.grad, grad, slot.data.dtype)
+
+
+def _sum_grad(held: np.ndarray | None, grad: np.ndarray, dtype) -> np.ndarray:
+    """A gradient sum; the first term is cast to the tensor's dtype, later terms add as they come."""
+    if held is None:
+        return grad if grad.dtype == dtype else grad.astype(dtype)
+    return held + grad
 
 
 _TAPE_STACK: list[Tape] = []
@@ -283,9 +319,10 @@ def add(a, b) -> Tensor:
     b = _as_tensor(b, like=a)
     _check_broadcast(a, b, "add")
     out = a.data + b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _make(out, (a, b), backward)
 
@@ -295,9 +332,10 @@ def sub(a, b) -> Tensor:
     b = _as_tensor(b, like=a)
     _check_broadcast(a, b, "sub")
     out = a.data - b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
 
     return _make(out, (a, b), backward)
 
@@ -399,11 +437,12 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     axes = _norm_axes(axis, a.ndim)
     out = a.data.sum(axis=axes, keepdims=keepdims)
+    shape = a.shape
 
     def backward(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.shape),)
+        return (np.broadcast_to(g, shape),)
 
     return _make(out, (a,), backward)
 
@@ -413,11 +452,12 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     axes = _norm_axes(axis, a.ndim)
     count = math.prod(a.shape[ax] for ax in axes)
     out = a.data.mean(axis=axes, keepdims=keepdims)
+    shape = a.shape
 
     def backward(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.shape) / count,)
+        return (np.broadcast_to(g, shape) / count,)
 
     return _make(out, (a,), backward)
 
@@ -452,9 +492,10 @@ def amax(a, axis=None, keepdims: bool = False) -> Tensor:
 def reshape(a, shape: Sequence[int]) -> Tensor:
     a = _as_tensor(a)
     out = a.data.reshape(shape)
+    a_shape = a.shape
 
     def backward(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(a_shape),)
 
     return _make(out, (a,), backward)
 
@@ -493,7 +534,8 @@ def style_pool(x: Tensor, kinds) -> Tensor:
     col = {kind: i for i, kind in enumerate(kinds)}
     if not kinds or len(col) != len(kinds) or not col.keys() <= set(POOL_KINDS):
         raise ValueError(f"style_pool: kinds must be distinct names from {POOL_KINDS}, got {kinds!r}")
-    n, c, h, w = x.shape
+    shape = x.shape
+    n, c, h, w = shape
     m = h * w
     x3 = x.data.reshape(n, c, m)
     out = np.empty((n, c, len(kinds)), dtype=x.dtype)
@@ -517,13 +559,13 @@ def style_pool(x: Tensor, kinds) -> Tensor:
             if "avg" in col:
                 gx += (g[..., col["avg"]] / m)[..., None]
         elif "avg" in col:
-            gx = np.broadcast_to((g[..., col["avg"]] / m)[..., None], x3.shape).copy()
+            gx = np.broadcast_to((g[..., col["avg"]] / m)[..., None], (n, c, m)).copy()
         else:
-            gx = np.zeros_like(x3)
+            gx = np.zeros((n, c, m), dtype=g.dtype)
         if "max" in col:
             rows = gx.reshape(n * c, m)
             rows[np.arange(n * c), idx.reshape(-1)] += g[..., col["max"]].reshape(-1)
-        return (gx.reshape(x.shape),)
+        return (gx.reshape(shape),)
 
     return _make(out[..., 0] if squeeze else out, (x,), backward)
 

@@ -9,8 +9,10 @@ reproduces the uninterrupted run bit for bit.
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -237,6 +239,34 @@ def evaluate(model: ResNet, dataset: Dataset, batch_size: int = 256) -> float:
     return correct / len(dataset)
 
 
+# glibc mallopt parameters (malloc.h).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory_mapped() -> bool:
+    """Have glibc keep freed heap memory mapped for reuse; False (a no-op) off glibc.
+
+    ``Tape.backward`` frees each activation as the replay passes it. By default
+    glibc returns such memory to the kernel (mmap'd blocks at once, the heap top
+    past a trim threshold), and the next step faults every page in again. Blocks
+    under 32 MiB come from the heap instead, and the heap is trimmed only past
+    1 GiB free at its top. The settings are process-wide.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError):  # no confstr, or a libc that does not know the name
+        return False
+    if not libc.startswith("glibc"):
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    return True
+
+
 def train(model: ResNet, dataset: Dataset, cfg: TrainConfig, out_dir: str | Path | None = None,
           eval_dataset: Dataset | None = None, resume_from: str | Path | None = None,
           stop_when=None) -> TrainResult:
@@ -245,6 +275,7 @@ def train(model: ResNet, dataset: Dataset, cfg: TrainConfig, out_dir: str | Path
     ``stop_when``, if given, is called with each logged row and ends the run
     early when it returns True (the history up to that point is unchanged).
     """
+    _keep_freed_memory_mapped()
     n = len(dataset)
     if n < cfg.batch_size:
         raise ValueError(f"dataset of {n} examples smaller than batch size {cfg.batch_size}")

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -489,6 +491,55 @@ class TestTape:
         with tape:
             pass
         assert len(tape) == 0
+
+    def test_backward_consumes_the_tape_and_grads_only_leaves(self):
+        with using_dtype(np.float64):
+            x = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+            w = Tensor(np.array([0.5, 3.0]), requires_grad=True)
+            with Tape() as tape:
+                h = T.relu(x * w)
+                y = h + x
+                loss = T.tsum(y * y)
+            tape.backward(loss)
+            assert len(tape) == 0
+            assert h.grad is None and y.grad is None and loss.grad is None
+            np.testing.assert_allclose(x.grad, 2 * y.data * (w.data * (h.data > 0) + 1))
+            np.testing.assert_allclose(w.grad, 2 * y.data * x.data * (h.data > 0))
+
+    def test_second_backward_raises(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with Tape() as tape:
+            loss = T.tsum(x * x)
+        tape.backward(loss)
+        with pytest.raises(RuntimeError, match="already replayed"):
+            tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, 2 * x.data)
+
+    def test_tensor_made_under_another_tape_is_a_leaf(self):
+        with using_dtype(np.float64):
+            x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+            with Tape() as first:
+                h = x * 3.0
+                s = T.tsum(h)
+            with Tape() as second:
+                loss = T.tsum(h * h)
+            second.backward(loss)
+            np.testing.assert_array_equal(h.grad, 2 * h.data)
+            assert x.grad is None
+            # h's gradient on the second tape is its leaf gradient, not an input to the first tape's replay.
+            first.backward(s)
+            np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+    def test_constant_input_is_not_kept_by_the_tape(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with Tape() as tape:
+            c = Tensor(np.full((2, 3), 2.0))
+            alive = weakref.ref(c.data)
+            loss = T.tsum(x + c)
+            del c
+        assert alive() is None
+        tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_forward_bit_identical_across_runs(self):
         rng = np.random.default_rng(5)
