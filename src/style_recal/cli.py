@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -122,8 +123,8 @@ def _cmd_train(args) -> int:
         eval_every=args.eval_every,
     )
     out = Path(args.out)
-    _write_manifest(out, "train", {"arch": arch.to_dict(), "train": cfg.to_dict(), "seed": args.seed,
-                                   "config_hash": config_hash(arch.to_dict(), cfg.trajectory_dict())})
+    _write_manifest(out, "train", {"arch": asdict(arch), "train": asdict(cfg), "seed": args.seed,
+                                   "config_hash": config_hash(asdict(arch), cfg.trajectory_dict())})
     model = build_resnet(arch, seed=args.seed)
     result = train(model, dataset, cfg, out_dir=out, eval_dataset=test_set,
                    resume_from=args.resume)
@@ -156,7 +157,7 @@ def _cmd_eval(args) -> int:
     print(json.dumps(payload))
     if args.out:
         out = Path(args.out)
-        _write_manifest(out, "eval", {"arch": model.config.to_dict(), "ckpt": args.ckpt})
+        _write_manifest(out, "eval", {"arch": asdict(model.config), "ckpt": args.ckpt})
         (out / "eval.json").write_text(json.dumps(payload, indent=2))
     return 0
 
@@ -167,7 +168,7 @@ def _cmd_prune(args) -> int:
     ratios = [float(r) for r in args.ratios.split(",")]
     rows = [(r, prune_eval(model, dataset, args.stage, r, batch_size=args.batch)) for r in ratios]
     out = Path(args.out)
-    _write_manifest(out, "prune", {"arch": model.config.to_dict(), "ckpt": args.ckpt,
+    _write_manifest(out, "prune", {"arch": asdict(model.config), "ckpt": args.ckpt,
                                    "stage": args.stage, "ratios": ratios})
     with open(out / "prune.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -185,7 +186,7 @@ def _cmd_analyze(args) -> int:
         model.fold_bn()
     record = capture_record(model, dataset, batch_size=args.batch)
     out = Path(args.out)
-    _write_manifest(out, "analyze", {"arch": model.config.to_dict(), "ckpt": args.ckpt})
+    _write_manifest(out, "analyze", {"arch": asdict(model.config), "ckpt": args.ckpt})
     save_record(out / "record.bin", record)
     summary = {"sum_squared_corr": sum_squared_corr(record), "layers": {}}
     for layer in record.layers:
@@ -221,7 +222,7 @@ def _cmd_complexity(args) -> int:
     print(report.to_json())
     if args.out:
         out = Path(args.out)
-        _write_manifest(out, "complexity", {"arch": arch.to_dict(), "input_size": size})
+        _write_manifest(out, "complexity", {"arch": asdict(arch), "input_size": size})
         (out / "report.json").write_text(report.to_json())
         (out / "report.txt").write_text(format_table(report))
     return 0
@@ -249,7 +250,7 @@ def _cmd_synth(args) -> int:
         seed=args.seed,
     )
     out = Path(args.out)
-    _write_manifest(out, "synth", {"spec": spec.to_dict()})
+    _write_manifest(out, "synth", {"spec": asdict(spec)})
     train_set = synth_style(spec, split="train")
     test_set = synth_style(spec, split="test")
     save_dataset(out / "train.bin", train_set)
@@ -351,13 +352,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _set_threads(args.threads)
-        if getattr(args, "precision", "f32"):
-            _set_precision(args.precision)
+        _set_precision(args.precision)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
+    except (UsageError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

@@ -146,18 +146,6 @@ class SynthStyleSpec:
                         f"synth spec: classes {i} and {j} separated by {gap:.3f} < 4 x jitter {self.jitter}"
                     )
 
-    def to_dict(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "per_class": self.per_class,
-            "size": self.size,
-            "channels": self.channels,
-            "class_means": list(self.class_means),
-            "class_stds": list(self.class_stds),
-            "jitter": self.jitter,
-            "seed": self.seed,
-        }
-
     @staticmethod
     def from_dict(d: dict) -> "SynthStyleSpec":
         means = d.get("class_means")

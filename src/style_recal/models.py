@@ -83,17 +83,6 @@ class ArchitectureConfig:
         c0 = self.stages[0].channels
         return c0 if self.block_kind == "basic" else c0 // BOTTLENECK_EXPANSION
 
-    def to_dict(self) -> dict:
-        return {
-            "stages": [{"blocks": s.blocks, "channels": s.channels, "stride": s.stride} for s in self.stages],
-            "block_kind": self.block_kind,
-            "recalib": self.recalib.to_dict() if self.recalib is not None else None,
-            "num_classes": self.num_classes,
-            "in_channels": self.in_channels,
-            "stem": self.stem,
-            "stem_channels": self.stem_channels,
-        }
-
     @staticmethod
     def from_dict(d: dict) -> "ArchitectureConfig":
         return ArchitectureConfig(

@@ -37,7 +37,6 @@ from .tensor import (
 )
 
 __all__ = [
-    "POOL_ORDER",
     "RecalibVariant",
     "StylePool",
     "StyleIntegration",
@@ -45,8 +44,6 @@ __all__ = [
     "ChannelRecalib",
     "FoldError",
 ]
-
-POOL_ORDER = POOL_KINDS
 
 SE_DEFAULT_REDUCTION = 16
 
@@ -74,12 +71,12 @@ class RecalibVariant:
     def __post_init__(self):
         if not self.pooling:
             raise ValueError("recalib variant: pooling set must be nonempty")
-        unknown = [p for p in self.pooling if p not in POOL_ORDER]
+        unknown = [p for p in self.pooling if p not in POOL_KINDS]
         if unknown:
-            raise ValueError(f"recalib variant: unknown pooling kinds {unknown}; expected subset of {POOL_ORDER}")
+            raise ValueError(f"recalib variant: unknown pooling kinds {unknown}; expected subset of {POOL_KINDS}")
         if len(set(self.pooling)) != len(self.pooling):
             raise ValueError("recalib variant: duplicate pooling kinds")
-        ordered = tuple(p for p in POOL_ORDER if p in self.pooling)
+        ordered = tuple(p for p in POOL_KINDS if p in self.pooling)
         object.__setattr__(self, "pooling", ordered)
         if self.integration not in ("cfc", "mlp"):
             raise ValueError(f"recalib variant: unknown integration {self.integration!r}")
@@ -101,14 +98,6 @@ class RecalibVariant:
     def se(reduction: int = SE_DEFAULT_REDUCTION) -> "RecalibVariant":
         return RecalibVariant(pooling=("avg",), integration="mlp", use_bn=False, se_reduction=reduction)
 
-    def to_dict(self) -> dict:
-        return {
-            "pooling": list(self.pooling),
-            "integration": self.integration,
-            "use_bn": self.use_bn,
-            "se_reduction": self.se_reduction,
-        }
-
     @staticmethod
     def from_dict(d: dict) -> "RecalibVariant":
         return RecalibVariant(
@@ -129,7 +118,7 @@ class StylePool(Module):
         super().__init__()
         if not pooling:
             raise ValueError("style pool: empty pooling set")
-        self.pooling = tuple(p for p in POOL_ORDER if p in pooling)
+        self.pooling = tuple(p for p in POOL_KINDS if p in pooling)
 
     @property
     def d(self) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,10 +38,7 @@ __all__ = [
     "sigmoid",
     "sqrt",
     "tsum",
-    "tmean",
-    "amax",
     "reshape",
-    "concat",
     "style_pool",
     "scale_channels",
     "conv2d",
@@ -133,14 +130,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item() on non-scalar tensor of shape {self.shape}")
-        return float(self.data.reshape(-1)[0])
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
@@ -213,11 +202,13 @@ class Tape:
         return len(self._records)
 
     def __enter__(self) -> "Tape":
-        _push_tape(self)
+        _TAPE_STACK.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        _pop_tape(self)
+        if not _TAPE_STACK or _TAPE_STACK[-1] is not self:
+            raise RuntimeError("tape stack corrupted: exiting a tape that is not innermost")
+        _TAPE_STACK.pop()
 
     def _slot(self, t: Tensor) -> int | Tensor | None:
         node = t._node
@@ -263,16 +254,6 @@ def _sum_grad(held: np.ndarray | None, grad: np.ndarray, dtype) -> np.ndarray:
 
 
 _TAPE_STACK: list[Tape] = []
-
-
-def _push_tape(tape: Tape) -> None:
-    _TAPE_STACK.append(tape)
-
-
-def _pop_tape(tape: Tape) -> None:
-    if not _TAPE_STACK or _TAPE_STACK[-1] is not tape:
-        raise RuntimeError("tape stack corrupted: exiting a tape that is not innermost")
-    _TAPE_STACK.pop()
 
 
 def _active_tape() -> Tape | None:
@@ -447,48 +428,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    axes = _norm_axes(axis, a.ndim)
-    count = math.prod(a.shape[ax] for ax in axes)
-    out = a.data.mean(axis=axes, keepdims=keepdims)
-    shape = a.shape
-
-    def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, shape) / count,)
-
-    return _make(out, (a,), backward)
-
-
-def amax(a, axis=None, keepdims: bool = False) -> Tensor:
-    """Maximum over axes; gradient routes to the first attaining element."""
-    a = _as_tensor(a)
-    axes = _norm_axes(axis, a.ndim)
-    kept = tuple(ax for ax in range(a.ndim) if ax not in axes)
-    moved = np.transpose(a.data, kept + axes)
-    lead = moved.shape[: len(kept)]
-    flat = moved.reshape(lead + (-1,))
-    idx = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-    if keepdims:
-        shape = list(a.shape)
-        for ax in axes:
-            shape[ax] = 1
-        out = out.reshape(shape)
-
-    def backward(g):
-        g_flat = g.reshape(lead) if keepdims else g
-        grad_flat = np.zeros_like(flat)
-        np.put_along_axis(grad_flat, idx[..., None], g_flat[..., None], axis=-1)
-        grad = grad_flat.reshape(moved.shape)
-        inv = np.argsort(kept + axes)
-        return (np.transpose(grad, inv),)
-
-    return _make(out, (a,), backward)
-
-
 def reshape(a, shape: Sequence[int]) -> Tensor:
     a = _as_tensor(a)
     out = a.data.reshape(shape)
@@ -498,18 +437,6 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
         return (g.reshape(a_shape),)
 
     return _make(out, (a,), backward)
-
-
-def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
-    ts = [_as_tensor(t) for t in tensors]
-    axis = axis % ts[0].ndim
-    out = np.concatenate([t.data for t in ts], axis=axis)
-    splits = np.cumsum([t.shape[axis] for t in ts])[:-1]
-
-    def backward(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _make(out, tuple(ts), backward)
 
 
 def style_pool(x: Tensor, kinds) -> Tensor:
@@ -649,15 +576,15 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
       gives the input gradient (correlated with the flipped, in/out-swapped
       kernel) and the weight gradient,
       ``gW[o, c, i, j] = (gcols @ x2.T)[(o, k-1-i, k-1-j), c]`` with ``x2``
-      the slice's input as a (C, N*H*W) matrix. The forward keeps no patches.
-    * otherwise the input, again, for the weight gradient; the forward keeps
-      the last slice's patches. The input gradient lowers the output gradient
-      as above when stride is 1 and ``padding <= k - 1``, and scatters
-      patch-column gradients back onto the input otherwise. A stem with fewer
-      input than output channels stays here: lowering its output gradient
-      would cost ``cout / cin`` times lowering its input.
+      the slice's input as a (C, N*H*W) matrix.
+    * every other conv: the input again, for the weight gradient, and the
+      input gradient scatters (col2im) the patch-column gradients
+      ``w2.T @ g2`` back onto the input. For ``cout > cin``, such as a stem,
+      this lowers ``cin*k*k`` rows where lowering the output gradient would
+      lower ``cout*k*k``.
 
-    No input gradient is computed for an input that does not require one.
+    The forward keeps no patches, and no input gradient is computed for an
+    input that does not require one.
     """
     x = _as_tensor(x)
     weight = _as_tensor(weight)
@@ -689,31 +616,27 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     for a, b in spans:
         cols = _im2col(x.data[a:b], k, stride, padding, scratch)
         out[a:b] = (w2 @ cols).reshape(cout, b - a, ho, wo).transpose(1, 0, 2, 3)
-    correlate = stride == 1 and padding <= k - 1
-    lower_g = correlate and cout <= cin
-    if lower_g:
-        cols = None
+    lower_g = stride == 1 and padding <= k - 1 and cout <= cin
 
     def backward(g):
         gx = np.empty(x.shape, dtype=g.dtype) if x.requires_grad else None
-        if correlate:
+        if lower_g:
             wf = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
         gwt = None
-        g_scratch, x_scratch = {}, {}
+        scratch = {}
         for a, b in reversed(spans):
-            if lower_g or (correlate and gx is not None):
-                gcols = _im2col(g[a:b], k, 1, k - 1 - padding, g_scratch)
             if lower_g:
+                gcols = _im2col(g[a:b], k, 1, k - 1 - padding, scratch)
                 x2 = np.ascontiguousarray(x.data[a:b].transpose(1, 0, 2, 3)).reshape(cin, (b - a) * h * w)
                 term = gcols @ x2.T
             else:
-                lowered = cols if b == n else _im2col(x.data[a:b], k, stride, padding, x_scratch)
+                cols = _im2col(x.data[a:b], k, stride, padding, scratch)
                 g2 = np.ascontiguousarray(g[a:b].transpose(1, 0, 2, 3)).reshape(cout, (b - a) * ho * wo)
-                term = lowered @ g2.T
+                term = cols @ g2.T
             gwt = term if gwt is None else gwt + term
             if gx is None:
                 continue
-            if correlate:
+            if lower_g:
                 gx[a:b] = (wf @ gcols).reshape(cin, b - a, h, w).transpose(1, 0, 2, 3)
             else:
                 gcols = (w2.T @ g2).reshape(cin, k, k, b - a, ho, wo)

@@ -13,7 +13,7 @@ import ctypes
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -66,24 +66,10 @@ class TrainConfig:
         if self.eval_every and self.eval_every % self.log_every != 0:
             raise ValueError("eval_every must be a multiple of log_every")
 
-    def to_dict(self) -> dict:
-        return {
-            "steps": self.steps,
-            "batch_size": self.batch_size,
-            "lr": self.lr,
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "schedule": [[s, v] for s, v in self.schedule],
-            "seed": self.seed,
-            "augment_policy": self.augment_policy,
-            "log_every": self.log_every,
-            "eval_every": self.eval_every,
-        }
-
     def trajectory_dict(self) -> dict:
         """Fields that define the parameter trajectory; the stopping horizon and
         logging cadence are excluded so a longer run can resume a shorter one."""
-        d = self.to_dict()
+        d = asdict(self)
         for k in ("steps", "log_every", "eval_every"):
             d.pop(k)
         return d
@@ -282,7 +268,7 @@ def train(model: ResNet, dataset: Dataset, cfg: TrainConfig, out_dir: str | Path
     steps_per_epoch = n // cfg.batch_size  # partial trailing batches are dropped
 
     opt = SGD(dict(model.named_parameters()), momentum=cfg.momentum, weight_decay=cfg.weight_decay)
-    chash = config_hash(model.config.to_dict(), cfg.trajectory_dict())
+    chash = config_hash(asdict(model.config), cfg.trajectory_dict())
     start_step = 0
     if resume_from is not None:
         start_step = load_checkpoint(resume_from, model, opt, expect_hash=chash)
@@ -293,7 +279,8 @@ def train(model: ResNet, dataset: Dataset, cfg: TrainConfig, out_dir: str | Path
         result.checkpoint_path = out_path / "checkpoint.bin"
         result.metrics_path = out_path / "metrics.csv"
 
-    last_good: dict[str, np.ndarray] | None = None
+    # Restored on a non-finite loss: the starting state, then the state at each log boundary.
+    last_good = {k: v.copy() for k, v in _model_state(model, opt).items()}
     window_loss: list[float] = []
     window_hits = 0
     window_count = 0
@@ -320,8 +307,7 @@ def train(model: ResNet, dataset: Dataset, cfg: TrainConfig, out_dir: str | Path
         if not np.isfinite(loss.data).all():
             result.diverged = True
             result.final_step = step
-            if last_good is not None:
-                _apply_state(model, opt, last_good, "last good state")
+            _apply_state(model, opt, last_good, "last good state")
             break
         tape.backward(loss)
         if not opt.step(lr):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -51,8 +52,8 @@ class TestConfig:
 
     def test_json_roundtrip(self):
         cfg = cifar_resnet_config(20, recalib="srm")
-        again = ArchitectureConfig.from_json(__import__("json").dumps(cfg.to_dict()))
-        assert again.to_dict() == cfg.to_dict()
+        again = ArchitectureConfig.from_json(__import__("json").dumps(asdict(cfg)))
+        assert asdict(again) == asdict(cfg)
 
     def test_named_configs(self):
         assert named_config("resnet56").stages[0].blocks == 9

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from style_recal import tensor as T
 from style_recal.layers import global_pool
 from style_recal.recalib import (
-    POOL_ORDER,
     ChannelRecalib,
     FoldError,
     MlpIntegration,
@@ -17,7 +17,7 @@ from style_recal.recalib import (
     StyleIntegration,
     StylePool,
 )
-from style_recal.tensor import Tape, Tensor, grad_check, using_dtype
+from style_recal.tensor import POOL_KINDS, Tape, Tensor, grad_check, using_dtype
 
 
 def sigmoid(x):
@@ -65,7 +65,7 @@ class TestRecalibVariant:
 
     def test_roundtrip_dict(self):
         v = RecalibVariant(pooling=("avg", "std"), integration="mlp", use_bn=True, se_reduction=8)
-        assert RecalibVariant.from_dict(v.to_dict()) == v
+        assert RecalibVariant.from_dict(asdict(v)) == v
 
 
 class TestStylePool:
@@ -82,7 +82,7 @@ class TestStylePool:
         np.testing.assert_allclose(t[0, 0], [2.0, 3.0])
 
     @pytest.mark.parametrize(
-        "pooling", [p for r in (1, 2, 3) for p in itertools.combinations(POOL_ORDER, r)])
+        "pooling", [p for r in (1, 2, 3) for p in itertools.combinations(POOL_KINDS, r)])
     def test_every_subset_matches_scalar_loops(self, pooling):
         rng = np.random.default_rng(len(pooling))
         with using_dtype(np.float64):

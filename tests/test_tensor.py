@@ -273,13 +273,12 @@ class TestSlicedConv2d:
             )
         assert err < 1e-4
 
-    # cout <= cin: the forward lowers each slice's input and the backward each slice's
-    # output gradient. The stem (cout > cin, no image gradient) lowers its input again
-    # for all slices but the kept last one; with an image gradient it also lowers the
-    # output gradient of every slice.
+    # The forward lowers each slice's input. With cout <= cin the backward lowers each
+    # slice's output gradient; with cout > cin (the stem) it lowers each slice's input
+    # again and scatters the image gradient, so the image gradient adds no lowering.
     @pytest.mark.parametrize("cin,cout,image_grad,lowerings", [
         (16, 16, True, 2 * 3), (16, 16, False, 2 * 3), (32, 16, True, 2 * 3),
-        (3, 16, False, 2 * 3 - 1), (3, 16, True, 3 * 3 - 1),
+        (3, 16, False, 2 * 3), (3, 16, True, 2 * 3),
     ])
     def test_lowerings_per_train_step(self, monkeypatch, cin, cout, image_grad, lowerings):
         rng = np.random.default_rng(cin + cout)
@@ -326,10 +325,6 @@ class TestElementwiseAndReductions:
         assert np.isfinite(out.data).all()
         assert out.data[0] == 0.0 and out.data[1] == 1.0
 
-    def test_mean_of_constant_channel(self):
-        x = Tensor(np.full((1, 1, 4, 4), 7.0))
-        assert T.tmean(x, axis=(2, 3)).data[0, 0] == 7.0
-
     def test_channel_broadcast_multiply_matches_scalar_loop(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 3, 4, 4))
@@ -351,11 +346,6 @@ class TestElementwiseAndReductions:
         g = Tensor(np.array([[1.0, 0.0, 2.0]]))
         out = T.scale_channels(x, g).data
         assert (out[0, 0] == 1).all() and (out[0, 1] == 0).all() and (out[0, 2] == 2).all()
-
-    def test_amax_ge_mean(self):
-        rng = np.random.default_rng(11)
-        x = Tensor(rng.normal(size=(3, 4, 5, 5)))
-        assert (T.amax(x, axis=(2, 3)).data >= T.tmean(x, axis=(2, 3)).data).all()
 
 
 class TestStylePool:
@@ -549,7 +539,7 @@ class TestTape:
         def run():
             out = T.conv2d(Tensor(x), Tensor(w), stride=1, padding=1)
             out = T.relu(out)
-            return T.tmean(out, axis=(2, 3)).data.tobytes()
+            return T.style_pool(out, "avg").data.tobytes()
 
         assert run() == run()
 

@@ -1,10 +1,11 @@
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from style_recal.data import SynthStyleSpec, synth_style
-from style_recal.models import ArchitectureConfig, StageSpec, build_resnet, cifar_resnet_config
+from style_recal.models import ArchitectureConfig, StageSpec, build_resnet, cifar_resnet_config, named_config
 from style_recal.tensor import Parameter, Tape, Tensor, cross_entropy
 from style_recal.train import (
     SGD,
@@ -161,7 +162,7 @@ class TestTrainLoop:
         step = load_checkpoint(result.checkpoint_path, twin, opt)
         assert step == 4
         save_checkpoint(tmp_path / "b.bin", twin, opt, step,
-                        config_hash(twin.config.to_dict(), cfg.trajectory_dict()))
+                        config_hash(asdict(twin.config), cfg.trajectory_dict()))
         assert (tmp_path / "b.bin").read_bytes() == result.checkpoint_path.read_bytes()
 
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
@@ -219,6 +220,32 @@ class TestTrainLoop:
         assert result.diverged and result.final_step == 2
         for n, p in model.named_parameters():
             np.testing.assert_array_equal(p.data, ref_state[n])
+
+    def test_divergence_before_first_log_restores_starting_state(self, monkeypatch):
+        import importlib
+
+        train_mod = importlib.import_module("style_recal.train")
+        fresh = build_resnet(tiny_cfg(), seed=0)
+        real_ce = train_mod.cross_entropy
+        calls = {"n": 0}
+
+        def poisoned(logits, labels):
+            calls["n"] += 1
+            out = real_ce(logits, labels)
+            if calls["n"] > 2:
+                out.data = np.asarray(np.nan, dtype=out.data.dtype)
+            return out
+
+        monkeypatch.setattr(train_mod, "cross_entropy", poisoned)
+        model = build_resnet(tiny_cfg(), seed=0)
+        result = train_mod.train(
+            model, tiny_data(), TrainConfig(steps=50, batch_size=8, lr=0.01, seed=0, log_every=10)
+        )
+        assert result.diverged and result.final_step == 2 and not result.rows
+        for (n, p), (_, q) in zip(model.named_parameters(), fresh.named_parameters()):
+            np.testing.assert_array_equal(p.data, q.data, err_msg=n)
+        for (n, b), (_, c) in zip(model.named_buffers(), fresh.named_buffers()):
+            np.testing.assert_array_equal(b, c, err_msg=n)
 
     def test_nonfinite_grads_abort_steps_but_do_not_halt(self):
         model = build_resnet(tiny_cfg(), seed=0)
@@ -291,6 +318,18 @@ class TestTrainLoop:
             train(model, data, TrainConfig(steps=50, batch_size=32, lr=0.1, seed=seed, log_every=50))
             finals.append(evaluate(model, data, batch_size=64))
         assert sorted(finals)[1] > 0.9, finals
+
+
+# Digests written by earlier builds into checkpoints and manifests; a change
+# here means those checkpoints can no longer be resumed.
+@pytest.mark.parametrize("recalib,digest", [
+    ("none", "094b736532eaf1912d315b87e13f03a433ba2728da996a40f4a08cbebbb64189"),
+    ("srm", "2d9b293c3d94769092d5313dcf6954325affe77aeb8582f554d65f9ac5b076ab"),
+    ("se", "c425292b53fe9a6a798aa85cd7942dd5507012952f5450f90fa169ac49971e84"),
+])
+def test_config_hash_is_stable(recalib, digest):
+    arch = asdict(named_config("resnet20", recalib))
+    assert config_hash(arch, cifar_recipe(0).trajectory_dict()) == digest
 
 
 def test_write_metrics_with_eval_column(tmp_path):
