@@ -47,7 +47,7 @@ def _load_arch(arch: str, recalib: str | None) -> ArchitectureConfig:
     if path.exists():
         try:
             cfg = ArchitectureConfig.from_json(path.read_text())
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed architecture config {arch}: {exc}") from exc
     else:
         try:
@@ -102,26 +102,32 @@ def _cmd_train(args) -> int:
     if args.eval_every:
         test_path = args.test_data or args.data
         test_set = _load_data(test_path, "test")
-    schedule = None
-    if args.schedule:
-        schedule = [(int(s.split(":")[0]), float(s.split(":")[1])) for s in args.schedule.split(",")]
     steps = args.steps
     if steps is None and args.epochs is not None:
-        steps = args.epochs * (len(dataset) // args.batch)
+        steps = args.epochs * (len(dataset) // max(args.batch, 1))  # TrainConfig rejects a batch below 2
     if steps is None:
         raise UsageError("train: pass --steps or --epochs")
-    cfg = TrainConfig(
-        steps=steps,
-        batch_size=args.batch,
-        lr=args.lr,
-        momentum=args.momentum,
-        weight_decay=args.weight_decay,
-        schedule=schedule,
-        seed=args.seed,
-        augment_policy=args.augment,
-        log_every=args.log_every,
-        eval_every=args.eval_every,
-    )
+    try:
+        schedule = None
+        if args.schedule:
+            pairs = [s.split(":") for s in args.schedule.split(",")]
+            if any(len(p) != 2 for p in pairs):
+                raise ValueError(f"--schedule {args.schedule!r} is not a comma list of step:lr")
+            schedule = [(int(step), float(lr)) for step, lr in pairs]
+        cfg = TrainConfig(
+            steps=steps,
+            batch_size=args.batch,
+            lr=args.lr,
+            momentum=args.momentum,
+            weight_decay=args.weight_decay,
+            schedule=schedule,
+            seed=args.seed,
+            augment_policy=args.augment,
+            log_every=args.log_every,
+            eval_every=args.eval_every,
+        )
+    except ValueError as exc:
+        raise UsageError(f"train: {exc}") from exc
     out = Path(args.out)
     _write_manifest(out, "train", {"arch": asdict(arch), "train": asdict(cfg), "seed": args.seed,
                                    "config_hash": config_hash(asdict(arch), cfg.trajectory_dict())})

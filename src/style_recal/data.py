@@ -129,6 +129,10 @@ class SynthStyleSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # size >= 2: a 1x1 channel has std 0, and its rescaled noise would be 0/0.
+        for name, least in (("num_classes", 1), ("per_class", 1), ("size", 2), ("channels", 1), ("jitter", 0)):
+            if getattr(self, name) < least:
+                raise DataError(f"synth spec: {name} must be >= {least}, got {getattr(self, name)}")
         if self.class_means is None:
             object.__setattr__(self, "class_means", tuple(0.0 for _ in range(self.num_classes)))
         if self.class_stds is None:
@@ -145,21 +149,6 @@ class SynthStyleSpec:
                     raise DataError(
                         f"synth spec: classes {i} and {j} separated by {gap:.3f} < 4 x jitter {self.jitter}"
                     )
-
-    @staticmethod
-    def from_dict(d: dict) -> "SynthStyleSpec":
-        means = d.get("class_means")
-        stds = d.get("class_stds")
-        return SynthStyleSpec(
-            num_classes=int(d.get("num_classes", 4)),
-            per_class=int(d.get("per_class", 128)),
-            size=int(d.get("size", 16)),
-            channels=int(d.get("channels", 3)),
-            class_means=tuple(means) if means is not None else None,
-            class_stds=tuple(stds) if stds is not None else None,
-            jitter=float(d.get("jitter", 0.08)),
-            seed=int(d.get("seed", 0)),
-        )
 
 
 def synth_class_targets(spec: SynthStyleSpec) -> np.ndarray:

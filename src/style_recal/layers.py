@@ -19,7 +19,6 @@ from .tensor import (
     ShapeError,
     Tensor,
     batch_norm_train,
-    channel_affine,
     conv2d,
     get_default_dtype,
     matmul,
@@ -197,7 +196,8 @@ class BatchNorm(Module):
         inv = 1.0 / np.sqrt(self.running_var + self.eps)
         scale = self.gamma.data * inv
         shift = self.beta.data - self.running_mean * scale
-        return channel_affine(x, scale, shift)
+        s = (1, self.channels) + (1,) * (x.ndim - 2)
+        return x * Tensor(scale.reshape(s)) + Tensor(shift.reshape(s))
 
 
 class Linear(Module):

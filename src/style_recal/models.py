@@ -85,15 +85,8 @@ class ArchitectureConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ArchitectureConfig":
-        return ArchitectureConfig(
-            stages=[StageSpec(int(s["blocks"]), int(s["channels"]), int(s["stride"])) for s in d["stages"]],
-            block_kind=d.get("block_kind", "basic"),
-            recalib=parse_recalib(d.get("recalib")),
-            num_classes=int(d.get("num_classes", 10)),
-            in_channels=int(d.get("in_channels", 3)),
-            stem=d.get("stem", "cifar"),
-            stem_channels=d.get("stem_channels"),
-        )
+        return ArchitectureConfig(**{**d, "stages": [StageSpec(**s) for s in d["stages"]],
+                                     "recalib": parse_recalib(d.get("recalib"))})
 
     @staticmethod
     def from_json(text: str) -> "ArchitectureConfig":
@@ -116,7 +109,7 @@ def parse_recalib(spec) -> RecalibVariant | None:
         if spec.lstrip().startswith("{"):
             try:
                 return RecalibVariant.from_dict(json.loads(spec))
-            except (json.JSONDecodeError, KeyError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"malformed recalib variant JSON: {exc}") from exc
         raise ValueError(f"unknown recalib spec {spec!r}; expected none|srm|se|se:<r> or a variant object")
     if isinstance(spec, dict):

@@ -100,12 +100,7 @@ class RecalibVariant:
 
     @staticmethod
     def from_dict(d: dict) -> "RecalibVariant":
-        return RecalibVariant(
-            pooling=tuple(d["pooling"]),
-            integration=d.get("integration", "cfc"),
-            use_bn=bool(d.get("use_bn", True)),
-            se_reduction=d.get("se_reduction"),
-        )
+        return RecalibVariant(**{**d, "pooling": tuple(d["pooling"])})
 
 
 class StylePool(Module):

@@ -29,14 +29,10 @@ __all__ = [
     "get_default_dtype",
     "using_dtype",
     "add",
-    "sub",
     "mul",
-    "div",
-    "neg",
     "matmul",
     "relu",
     "sigmoid",
-    "sqrt",
     "tsum",
     "reshape",
     "style_pool",
@@ -44,7 +40,6 @@ __all__ = [
     "conv2d",
     "maxpool2d",
     "batch_norm_train",
-    "channel_affine",
     "cross_entropy",
     "grad_check",
     "POOL_EPS",
@@ -140,26 +135,11 @@ class Tensor:
     def __radd__(self, other):
         return add(other, self)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -308,19 +288,6 @@ def add(a, b) -> Tensor:
     return _make(out, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
-    _check_broadcast(a, b, "sub")
-    out = a.data - b.data
-    a_shape, b_shape = a.shape, b.shape
-
-    def backward(g):
-        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
-
-    return _make(out, (a, b), backward)
-
-
 def mul(a, b) -> Tensor:
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
@@ -331,29 +298,6 @@ def mul(a, b) -> Tensor:
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
     return _make(out, (a, b), backward)
-
-
-def div(a, b) -> Tensor:
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
-    _check_broadcast(a, b, "div")
-    out = a.data / b.data
-
-    def backward(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
-
-    return _make(out, (a, b), backward)
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def backward(g):
-        return (-g,)
-
-    return _make(-a.data, (a,), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -392,16 +336,6 @@ def sigmoid(a) -> Tensor:
 
     def backward(g):
         return (g * out * (1.0 - out),)
-
-    return _make(out, (a,), backward)
-
-
-def sqrt(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.sqrt(a.data)
-
-    def backward(g):
-        return (g * (0.5 / out),)
 
     return _make(out, (a,), backward)
 
@@ -725,23 +659,6 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ..
 
     out_t = _make(out, (x, gamma, beta), backward)
     return out_t, mu.reshape(-1), var.reshape(-1)
-
-
-def channel_affine(x: Tensor, scale: np.ndarray, shift: np.ndarray) -> Tensor:
-    """Per-channel affine with constant coefficients (eval-mode normalization).
-
-    Differentiable with respect to x only; scale and shift are treated as
-    fixed running-statistic-derived constants.
-    """
-    x = _as_tensor(x)
-    stat_shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
-    sb = scale.reshape(stat_shape)
-    out = x.data * sb + shift.reshape(stat_shape)
-
-    def backward(g):
-        return (g * sb,)
-
-    return _make(out, (x,), backward)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

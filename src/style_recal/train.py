@@ -55,16 +55,19 @@ class TrainConfig:
     eval_every: int = 0  # 0 disables mid-run evaluation
 
     def __post_init__(self):
+        for name, least in (("steps", 0), ("batch_size", 2), ("log_every", 1), ("eval_every", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.schedule is None:
             self.schedule = [(0, self.lr)]
         self.schedule = [(int(s), float(v)) for s, v in self.schedule]
         steps = [s for s, _ in self.schedule]
         if steps != sorted(set(steps)):
-            raise ValueError("schedule steps must be strictly increasing")
+            raise ValueError(f"schedule steps must be strictly increasing, got {steps}")
         if any(v <= 0 for _, v in self.schedule):
-            raise ValueError("schedule learning rates must be positive")
-        if self.eval_every and self.eval_every % self.log_every != 0:
-            raise ValueError("eval_every must be a multiple of log_every")
+            raise ValueError(f"schedule learning rates must be positive, got {[v for _, v in self.schedule]}")
+        if self.eval_every % self.log_every != 0:
+            raise ValueError(f"eval_every ({self.eval_every}) must be a multiple of log_every ({self.log_every})")
 
     def trajectory_dict(self) -> dict:
         """Fields that define the parameter trajectory; the stopping horizon and

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -83,8 +84,45 @@ class TestExitCodes:
         assert rc == 2
         assert "'threads' extra" in capsys.readouterr().err
 
+    def test_unknown_arch_key_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({"stages": [{"blocks": 1, "channels": 8, "stride": 1}], "num_clases": 3}))
+        assert main(["complexity", "--arch", str(path)]) == 2
+        assert "num_clases" in capsys.readouterr().err
+
+    def test_unknown_recalib_key_usage_error(self, capsys):
+        rc = main(["complexity", "--arch", "resnet20", "--recalib", '{"pooling": ["avg"], "use_nb": false}'])
+        assert rc == 2
+        assert "use_nb" in capsys.readouterr().err
+
+
+# sha256 of the stdout of `complexity --arch A --recalib R [--running-stats]`.
+# The output holds only integers and flops / 1e9, so it is the same on every
+# platform; a changed digest means a parameter or FLOP count changed.
+COMPLEXITY_DIGESTS = {
+    ("resnet20", "none", False): "b27858a15e166c47fba7c2a47fcf0600df64fb70e7332606afa337eab7d37da5",
+    ("resnet20", "none", True): "fe767e585f24e9629c41161ad98b3454f875b1c75d31ade54c1c741ea64d44ef",
+    ("resnet20", "srm", False): "e1dc7258f066bb14c038501050a28b6a2e51c903dd4c5cb551a55223f2a56fd5",
+    ("resnet20", "srm", True): "6260d52b24fed369b1d5615b98d890599547e34c15ec8113dbf30acb4674efbf",
+    ("resnet20", "se", False): "ce750dd2e88fd3b53aa498f3f92485766608a8135f582df55bf6c9305d36b81d",
+    ("resnet20", "se", True): "303d875dfc4a106162111c685219a415ee33373e80051b360371a6607e599592",
+    ("resnet50", "none", False): "c54a92f23d7d81faaad468b044ee25766cb0a0079c5b79692b803d24497559c5",
+    ("resnet50", "none", True): "3b375d647366564a315adcce09ac0d76e7d1f7f0adc52932f74c7e2e3e75a8e4",
+    ("resnet50", "srm", False): "9aea2194ba1c29ebe7e658810640d4d540e5cec458da089c529e3d1657f4e402",
+    ("resnet50", "srm", True): "19d0e6b5ec08a8368ce4a3c4880241c79aafb51365e4a9497df8669b6c2af940",
+    ("resnet50", "se", False): "e91269b6cdbbc006e800a2f2c3760a96a97af66e4ed4d3eb89f4239952f4bd9f",
+    ("resnet50", "se", True): "81ad89357ac3c06a6b8d2ccfb6c9a740c66e269fd74241c4fa4469ef8ebf312a",
+}
+
 
 class TestComplexityCommand:
+    @pytest.mark.parametrize("arch,recalib,running_stats", sorted(COMPLEXITY_DIGESTS))
+    def test_output_is_pinned(self, capsys, arch, recalib, running_stats):
+        rc = main(["complexity", "--arch", arch, "--recalib", recalib] + ["--running-stats"] * running_stats)
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == COMPLEXITY_DIGESTS[arch, recalib, running_stats]
+
     def test_srm_resnet50_added_params(self, capsys):
         rc = main(["complexity", "--arch", "resnet50", "--recalib", "srm"])
         assert rc == 0
@@ -133,6 +171,31 @@ class TestSynthCommand:
         rc = main(["synth", "--out", str(tmp_path), "--classes", "2",
                    "--means", "0.0,0.01", "--stds", "1.0,1.0", "--jitter", "0.1"])
         assert rc == 2
+
+    def test_unusable_spec_usage_error(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path), "--size", "1"]) == 2
+        assert "size must be >= 2, got 1" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+
+class TestTrainUsageErrors:
+    @pytest.mark.parametrize("flags,named", [
+        (["--schedule", "100"], "'100'"),
+        (["--schedule", "0:abc"], "'abc'"),
+        (["--schedule", "5:0.1,2:0.2"], "[5, 2]"),
+        (["--eval-every", "3", "--log-every", "2"], "eval_every (3)"),
+        (["--log-every", "0"], "log_every must be >= 1, got 0"),
+        (["--batch", "0"], "batch_size must be >= 2, got 0"),
+        (["--batch", "1"], "batch_size must be >= 2, got 1"),
+    ])
+    def test_bad_value_is_named_and_writes_nothing(self, synth_dir, tmp_path_factory, tmp_path, capsys,
+                                                   flags, named):
+        out = tmp_path / "run"
+        rc = main(["train", "--arch", _tiny_arch_file(tmp_path_factory), "--data", str(synth_dir / "train.bin"),
+                   "--out", str(out), "--steps", "2", "--batch", "8", "--log-every", "1"] + flags)
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
 
 class TestTrainEvalPipeline:

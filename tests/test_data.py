@@ -150,6 +150,18 @@ class TestSynthStyle:
         with pytest.raises(DataError, match="positive"):
             SynthStyleSpec(num_classes=2, class_means=(-1, 1), class_stds=(0.05, 1.0), jitter=0.1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("num_classes", 0), ("per_class", 0), ("size", 1), ("channels", 0), ("jitter", -0.01),
+    ])
+    def test_unusable_extent_or_jitter_rejected(self, field, value):
+        with pytest.raises(DataError, match=f"{field} must be >= .*, got {value}"):
+            SynthStyleSpec(**{field: value})
+
+    def test_smallest_accepted_spec_is_finite(self):
+        ds = synth_style(SynthStyleSpec(num_classes=1, per_class=1, size=2, channels=1, jitter=0.0))
+        assert ds.images.shape == (1, 1, 2, 2)
+        assert np.isfinite(ds.images).all()
+
     def test_label_is_function_of_channel_stats(self):
         spec = SynthStyleSpec(seed=9)
         ds = synth_style(spec)

@@ -70,6 +70,24 @@ class TestBatchNorm:
             want = loop_batchnorm(x, bn.gamma.data, bn.beta.data, bn.eps)
             assert np.abs(got - want).max() < 1e-6
 
+    @pytest.mark.parametrize("shape", [(5, 4), (3, 4, 6, 5)])
+    def test_eval_is_the_running_stat_affine_bit_for_bit(self, shape):
+        rng = np.random.default_rng(4)
+        bn = BatchNorm(4)
+        bn.gamma.data = rng.uniform(0.5, 1.5, size=4).astype(np.float32)
+        bn.beta.data = rng.normal(size=4).astype(np.float32)
+        bn.running_mean[...] = rng.normal(size=4)
+        bn.running_var[...] = rng.uniform(0.2, 3.0, size=4)
+        bn.eval()
+        x = rng.normal(size=shape).astype(np.float32)
+        scale = bn.gamma.data * (1 / np.sqrt(bn.running_var + bn.eps))
+        shift = bn.beta.data - bn.running_mean * scale
+        s = (1, 4) + (1,) * (len(shape) - 2)
+        want = x * scale.reshape(s) + shift.reshape(s)
+        got = bn(Tensor(x)).data
+        assert got.dtype == np.float32 and want.dtype == np.float32
+        assert np.array_equal(got, want)
+
     def test_train_batch_of_one_rejected(self):
         bn = BatchNorm(2)
         with pytest.raises(ShapeError, match="batch size"):

@@ -326,6 +326,9 @@ class TestTrainLoop:
     ("none", "094b736532eaf1912d315b87e13f03a433ba2728da996a40f4a08cbebbb64189"),
     ("srm", "2d9b293c3d94769092d5313dcf6954325affe77aeb8582f554d65f9ac5b076ab"),
     ("se", "c425292b53fe9a6a798aa85cd7942dd5507012952f5450f90fa169ac49971e84"),
+    ("se:8", "e11bf57cc1b706aee75a97fa63ab83ea8d334d0ed8597ed7b0c568480a42cce8"),
+    ('{"pooling": ["avg", "std"], "integration": "mlp", "use_bn": true, "se_reduction": 4}',
+     "cd48c6d95922d0d9329a0afd2cfa82beef900aa51a210c29b86cb3037ea47dad"),
 ])
 def test_config_hash_is_stable(recalib, digest):
     arch = asdict(named_config("resnet20", recalib))
