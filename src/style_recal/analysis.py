@@ -28,6 +28,7 @@ __all__ = [
     "sum_squared_corr",
     "top_activated",
     "top_overlap",
+    "jaccard_overlap",
     "save_record",
     "load_record",
 ]
@@ -161,20 +162,18 @@ def top_overlap(record: AnalysisRecord, layer: tuple[int, int], k: int = 1) -> f
 
     Lower values mean channels respond to more diverse images.
     """
-    g = record.gates[layer]
-    channels = g.shape[1]
-    tops = [set(top_activated(record, layer, c, k).tolist()) for c in range(channels)]
-    if channels < 2:
-        return 0.0
-    total = 0.0
-    pairs = 0
-    for i in range(channels):
-        for j in range(i + 1, channels):
-            inter = len(tops[i] & tops[j])
-            union = len(tops[i] | tops[j])
-            total += inter / union
+    return jaccard_overlap([top_activated(record, layer, c, k) for c in range(record.gates[layer].shape[1])])
+
+
+def jaccard_overlap(id_lists) -> float:
+    """Mean Jaccard overlap over every pair of id sets, in (i, j > i) order; 0 for fewer than two."""
+    sets = [set(ids.tolist()) for ids in id_lists]
+    total, pairs = 0.0, 0
+    for i, a in enumerate(sets):
+        for b in sets[i + 1:]:
+            total += len(a & b) / len(a | b)
             pairs += 1
-    return total / pairs
+    return total / pairs if pairs else 0.0
 
 
 def save_record(path, record: AnalysisRecord) -> None:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import capture_record, prune_eval, correlation_matrix, save_record, sum_squared_corr, top_activated, top_overlap
+from .analysis import capture_record, correlation_matrix, jaccard_overlap, prune_eval, save_record, top_activated
 from .complexity import analyze as complexity_analyze, format_table
 from .data import (
     DataError,
@@ -128,6 +128,8 @@ def _cmd_train(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(f"train: {exc}") from exc
+    if len(dataset) < cfg.batch_size:
+        raise UsageError(f"train: dataset of {len(dataset)} examples is smaller than --batch {cfg.batch_size}")
     out = Path(args.out)
     _write_manifest(out, "train", {"arch": asdict(arch), "train": asdict(cfg), "seed": args.seed,
                                    "config_hash": config_hash(asdict(arch), cfg.trajectory_dict())})
@@ -143,12 +145,10 @@ def _cmd_train(args) -> int:
 
 
 def _restore_model(args):
-    arch = _load_arch(args.arch, args.recalib)
-    model = build_resnet(arch, seed=getattr(args, "seed", 0))
-    if args.ckpt:
-        if not Path(args.ckpt).exists():
-            raise UsageError(f"checkpoint {args.ckpt} does not exist")
-        load_checkpoint(args.ckpt, model)
+    model = build_resnet(_load_arch(args.arch, args.recalib))
+    if not Path(args.ckpt).exists():
+        raise UsageError(f"checkpoint {args.ckpt} does not exist")
+    load_checkpoint(args.ckpt, model)
     model.eval()
     return model
 
@@ -169,9 +169,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_prune(args) -> int:
+    ratios = _float_list("--ratios", args.ratios)
+    if not ratios or not all(0.0 <= r <= 1.0 for r in ratios):
+        raise UsageError(f"--ratios {args.ratios!r}: need one or more ratios in [0, 1]")
     model = _restore_model(args)
+    stages = sorted({si for si, _, _ in model.recalib_layers()})
+    if args.stage not in stages:
+        raise UsageError(f"--stage {args.stage} has no recalibration layers (recalibrated stages: {stages})")
     dataset = _load_data(args.data, args.split)
-    ratios = [float(r) for r in args.ratios.split(",")]
     rows = [(r, prune_eval(model, dataset, args.stage, r, batch_size=args.batch)) for r in ratios]
     out = Path(args.out)
     _write_manifest(out, "prune", {"arch": asdict(model.config), "ckpt": args.ckpt,
@@ -186,6 +191,8 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    if args.top_k < 1:
+        raise UsageError(f"--top-k must be >= 1, got {args.top_k}")
     model = _restore_model(args)
     dataset = _load_data(args.data, args.split)
     if args.fold_bn:
@@ -194,7 +201,8 @@ def _cmd_analyze(args) -> int:
     out = Path(args.out)
     _write_manifest(out, "analyze", {"arch": asdict(model.config), "ckpt": args.ckpt})
     save_record(out / "record.bin", record)
-    summary = {"sum_squared_corr": sum_squared_corr(record), "layers": {}}
+    k = min(args.top_k, len(record))
+    summary = {"sum_squared_corr": 0.0, "layers": {}}
     for layer in record.layers:
         si, bi = layer
         corr = correlation_matrix(record, layer)
@@ -202,16 +210,17 @@ def _cmd_analyze(args) -> int:
             writer = csv.writer(fh)
             for row in corr:
                 writer.writerow([repr(v) for v in row])
-        tops = {c: top_activated(record, layer, c, min(args.top_k, len(record))).tolist()
-                for c in range(record.gates[layer].shape[1])}
+        tops = [top_activated(record, layer, c, k) for c in range(record.gates[layer].shape[1])]
         with open(out / f"top_stage{si}_block{bi}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["channel"] + [f"rank{i}" for i in range(min(args.top_k, len(record)))])
-            for c, ids in tops.items():
-                writer.writerow([c] + ids)
+            writer.writerow(["channel"] + [f"rank{i}" for i in range(k)])
+            for c, ids in enumerate(tops):
+                writer.writerow([c] + ids.tolist())
+        squared = float((corr * corr).sum())
+        summary["sum_squared_corr"] += squared  # sum_squared_corr(record), one matrix per layer
         summary["layers"][f"{si}.{bi}"] = {
-            "squared_corr_sum": float((corr * corr).sum()),
-            "top1_overlap": top_overlap(record, layer, k=1),
+            "squared_corr_sum": squared,
+            "top1_overlap": jaccard_overlap([ids[:1] for ids in tops]),  # top_overlap(record, layer, k=1)
         }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     print(json.dumps({"sum_squared_corr": summary["sum_squared_corr"]}))
@@ -235,6 +244,8 @@ def _cmd_complexity(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.count < 1:
+        raise UsageError(f"--count must be >= 1, got {args.count}")
     seeds = range(args.seed, args.seed + args.count)
     results = run_suite(seeds)
     worst = max(results.values())
@@ -244,14 +255,21 @@ def _cmd_gradcheck(args) -> int:
     return 0 if worst < SUITE_TOLERANCE else 1
 
 
+def _float_list(flag: str, text: str | None) -> tuple[float, ...] | None:
+    try:
+        return tuple(float(v) for v in text.split(",")) if text else None
+    except ValueError as exc:
+        raise UsageError(f"{flag} {text!r} is not a comma list of numbers") from exc
+
+
 def _cmd_synth(args) -> int:
     spec = SynthStyleSpec(
         num_classes=args.classes,
         per_class=args.per_class,
         size=args.size,
         channels=args.channels,
-        class_means=tuple(float(v) for v in args.means.split(",")) if args.means else None,
-        class_stds=tuple(float(v) for v in args.stds.split(",")) if args.stds else None,
+        class_means=_float_list("--means", args.means),
+        class_stds=_float_list("--stds", args.stds),
         jitter=args.jitter,
         seed=args.seed,
     )

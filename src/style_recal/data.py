@@ -239,9 +239,7 @@ def resolve_data_path(explicit: str | None) -> str:
     raise DataError("no dataset path: pass --data or set STYLE_RECAL_DATA")
 
 
-def iterate_batches(dataset: Dataset, batch_size: int, order: np.ndarray | None = None):
-    """Yield (images, labels) batches; `order` fixes the iteration permutation."""
-    idx = np.arange(len(dataset)) if order is None else order
-    for start in range(0, len(idx), batch_size):
-        sel = idx[start : start + batch_size]
-        yield dataset.images[sel], dataset.labels[sel]
+def iterate_batches(dataset: Dataset, batch_size: int):
+    """Yield (images, labels) batches in dataset order, as views of its arrays."""
+    for start in range(0, len(dataset), batch_size):
+        yield dataset.images[start : start + batch_size], dataset.labels[start : start + batch_size]

@@ -17,19 +17,9 @@ from .layers import BatchNorm, Conv2d, Linear, global_pool
 from .recalib import ChannelRecalib, RecalibVariant
 from .tensor import Tensor, using_dtype
 
-__all__ = ["CheckCase", "default_checks", "run_suite", "SUITE_TOLERANCE"]
+__all__ = ["default_checks", "run_suite", "SUITE_TOLERANCE"]
 
 SUITE_TOLERANCE = 1e-4
-
-
-class CheckCase:
-    def __init__(self, name: str, run: Callable[[np.random.Generator], float], eps: float = 1e-5):
-        self.name = name
-        self.run = run
-        self.eps = eps
-
-    def __repr__(self):
-        return f"CheckCase({self.name})"
 
 
 def _t(rng, *shape, offset: float = 0.0) -> Tensor:
@@ -53,12 +43,13 @@ def _weighted_loss(rng: np.random.Generator, shape: tuple[int, ...]):
     return loss
 
 
-def default_checks() -> list[CheckCase]:
-    checks: list[CheckCase] = []
+def default_checks() -> dict[str, Callable[[np.random.Generator], float]]:
+    """Each check by name; a check maps a seeded generator to its relative error."""
+    checks: dict[str, Callable[[np.random.Generator], float]] = {}
 
-    def op(name, eps=1e-5):
+    def op(name):
         def wrap(fn):
-            checks.append(CheckCase(name, fn, eps))
+            checks[name] = fn
             return fn
 
         return wrap
@@ -191,7 +182,7 @@ def default_checks() -> list[CheckCase]:
         loss = _weighted_loss(rng, (4, 3, 4, 4))
         return T.grad_check(lambda ts: loss(layer(ts[0])), [x, layer.gamma, layer.beta])
 
-    @op("srm_block", eps=1e-4)
+    @op("srm_block")
     def _srm(rng):
         layer = ChannelRecalib(4, RecalibVariant.srm(), rng=rng)
         x = _t(rng, 2, 4, 3, 3)
@@ -199,7 +190,7 @@ def default_checks() -> list[CheckCase]:
         params = [x] + layer.parameters()
         return T.grad_check(lambda ts: loss(layer(ts[0])), params, eps=1e-4)
 
-    @op("se_block", eps=1e-4)
+    @op("se_block")
     def _se(rng):
         layer = ChannelRecalib(8, RecalibVariant.se(4), rng=rng)
         # Keep hidden units alive for every example: a batch-dead ReLU unit has
@@ -211,7 +202,7 @@ def default_checks() -> list[CheckCase]:
         params = [x] + layer.parameters()
         return T.grad_check(lambda ts: loss(layer(ts[0])), params, eps=1e-4)
 
-    @op("mlp_bn_variant", eps=1e-4)
+    @op("mlp_bn_variant")
     def _mlp_bn(rng):
         variant = RecalibVariant(pooling=("avg", "std"), integration="mlp", use_bn=True, se_reduction=4)
         layer = ChannelRecalib(4, variant, rng=rng)
@@ -231,7 +222,7 @@ def default_checks() -> list[CheckCase]:
         scale = max(float(np.abs(t.grad).max()) for t in others)
         return max(err, max(float(np.abs(b.grad).max()) for b in biases) / scale)
 
-    @op("cfc_nobn_variant", eps=1e-4)
+    @op("cfc_nobn_variant")
     def _cfc_nobn(rng):
         variant = RecalibVariant(pooling=("avg", "std", "max"), integration="cfc", use_bn=False)
         layer = ChannelRecalib(4, variant, rng=rng)
@@ -243,15 +234,14 @@ def default_checks() -> list[CheckCase]:
     return checks
 
 
-def run_suite(seeds: Iterable[int] = range(10), checks: list[CheckCase] | None = None) -> dict[str, float]:
+def run_suite(seeds: Iterable[int] = range(10)) -> dict[str, float]:
     """Max relative error per check across seeds, computed in float64."""
-    checks = checks if checks is not None else default_checks()
     results: dict[str, float] = {}
     with using_dtype(np.float64):
-        for case in checks:
+        for name, run in default_checks().items():
             worst = 0.0
             for seed in seeds:
-                err = case.run(np.random.default_rng(seed))
+                err = run(np.random.default_rng(seed))
                 worst = max(worst, err)
-            results[case.name] = worst
+            results[name] = worst
     return results

@@ -55,6 +55,9 @@ class Module:
         object.__setattr__(self, "_training", True)
 
     def __setattr__(self, name, value):
+        # Rebinding drops the old registration: ``self.bn = None`` unlists the child's state.
+        self._params.pop(name, None)
+        self._children.pop(name, None)
         if isinstance(value, Parameter):
             self._params[name] = value
         elif isinstance(value, Module):
@@ -155,16 +158,15 @@ class BatchNorm(Module):
     """Per-channel batch normalization over (N,) or (N, H, W) reduction axes.
 
     Train mode uses biased (1/N) batch statistics and updates the running
-    estimates as ``new = (1 - momentum) * old + momentum * batch``; eval mode
+    estimates as ``new = (1 - m) * old + m * batch`` with ``m = BN_MOMENTUM``; eval mode
     depends only on the running statistics and treats the affine as constant
     (training through an eval-mode forward is not supported).
     """
 
-    def __init__(self, channels: int, eps: float = BN_EPS, momentum: float = BN_MOMENTUM):
+    def __init__(self, channels: int, eps: float = BN_EPS):
         super().__init__()
         self.channels = channels
         self.eps = eps
-        self.momentum = momentum
         dt = get_default_dtype()
         self.gamma = Parameter(np.ones(channels, dtype=dt))
         self.beta = Parameter(np.zeros(channels, dtype=dt))
@@ -187,7 +189,7 @@ class BatchNorm(Module):
             if x.shape[0] < 2:
                 raise ShapeError("batchnorm: train mode requires batch size >= 2 (degenerate variance)")
             out, mu, var = batch_norm_train(x, self.gamma, self.beta, axes, self.eps)
-            m = self.momentum
+            m = BN_MOMENTUM
             self.running_mean[...] = (1 - m) * self.running_mean + m * mu
             self.running_var[...] = (1 - m) * self.running_var + m * var
             self.num_batches[...] += 1
@@ -201,8 +203,7 @@ class BatchNorm(Module):
 
 
 class Linear(Module):
-    def __init__(self, in_features: int, out_features: int, bias: bool = True,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator | None = None):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
@@ -210,13 +211,10 @@ class Linear(Module):
         r = _rng(rng)
         dt = get_default_dtype()
         self.weight = Parameter(r.uniform(-bound, bound, size=(in_features, out_features)).astype(dt))
-        self.bias = Parameter(r.uniform(-bound, bound, size=(out_features,)).astype(dt)) if bias else None
+        self.bias = Parameter(r.uniform(-bound, bound, size=(out_features,)).astype(dt))
 
     def forward(self, x: Tensor) -> Tensor:
-        out = matmul(x, self.weight)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return matmul(x, self.weight) + self.bias
 
 
 class MaxPool2d(Module):

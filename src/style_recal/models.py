@@ -41,11 +41,22 @@ BOTTLENECK_EXPANSION = 4
 GateTransform = Callable[[int, int, np.ndarray], np.ndarray]
 
 
+def _require_counts(owner: str, obj, names: tuple[str, ...]) -> None:
+    """Reject a field that is not an int >= 1; a bool, 16.0 or "4" is not coerced."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ValueError(f"{owner}: {name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class StageSpec:
     blocks: int
     channels: int
     stride: int
+
+    def __post_init__(self):
+        _require_counts("stage", self, ("blocks", "channels", "stride"))
 
 
 @dataclass
@@ -61,9 +72,8 @@ class ArchitectureConfig:
     def __post_init__(self):
         if not self.stages:
             raise ValueError("architecture: at least one stage required")
-        for s in self.stages:
-            if s.blocks < 1 or s.channels < 1:
-                raise ValueError(f"architecture: invalid stage {s}")
+        _require_counts("architecture", self, ("num_classes", "in_channels")
+                        + (("stem_channels",) if self.stem_channels is not None else ()))
         if self.stages[0].stride != 1:
             raise ValueError("architecture: first stage must have stride 1")
         if any(s.stride != 2 for s in self.stages[1:]):
@@ -148,10 +158,6 @@ class ResidualBlock(Module):
             self.proj_bn = None
 
     @property
-    def convs_in_branch(self) -> int:
-        return len(self.pairs)
-
-    @property
     def has_identity_shortcut(self) -> bool:
         return self.proj_conv is None
 
@@ -215,7 +221,7 @@ class ResNet(Module):
                 blocks.append(block_cls(in_ch, spec.channels, stride, config.recalib, rng))
                 in_ch = spec.channels
             self.stages.append(blocks)
-        self.classifier = Linear(in_ch, config.num_classes, bias=True, rng=rng)
+        self.classifier = Linear(in_ch, config.num_classes, rng=rng)
 
     def stem(self, x: Tensor) -> Tensor:
         h = relu(self.stem_bn(self.stem_conv(x)))
@@ -259,7 +265,7 @@ class ResNet(Module):
         count = 1 + 1  # stem conv, classifier
         for stage in self.stages:
             for block in stage:
-                count += block.convs_in_branch
+                count += len(block.pairs)
         return count
 
 
@@ -282,8 +288,7 @@ def cifar_resnet_config(depth: int, recalib: RecalibVariant | str | None = None,
     )
 
 
-def imagenet_resnet50_config(recalib: RecalibVariant | str | None = None,
-                             num_classes: int = 1000) -> ArchitectureConfig:
+def imagenet_resnet50_config(recalib: RecalibVariant | str | None = None) -> ArchitectureConfig:
     return ArchitectureConfig(
         stages=[
             StageSpec(3, 256, 1),
@@ -293,7 +298,7 @@ def imagenet_resnet50_config(recalib: RecalibVariant | str | None = None,
         ],
         block_kind="bottleneck",
         recalib=parse_recalib(recalib),
-        num_classes=num_classes,
+        num_classes=1000,
         stem="imagenet",
     )
 

@@ -128,9 +128,9 @@ class StyleIntegration(Module):
 
     Each channel owns an independent weight vector of length d; encoding is
     a dot product per channel. With BN, the bias is absorbed into the BN
-    shift; without it a per-channel bias keeps the layer trainable. After
-    :meth:`fold` the eval-mode BN affine is merged into the channel weights so
-    each channel reduces to one linear map followed by the sigmoid.
+    shift; without it a per-channel bias keeps the layer trainable.
+    :meth:`fold` rewrites a BN layer into the BN-free form, so each channel
+    reduces to one linear map followed by the sigmoid.
     """
 
     def __init__(self, channels: int, d: int, use_bn: bool = True,
@@ -138,20 +138,12 @@ class StyleIntegration(Module):
         super().__init__()
         self.channels = channels
         self.d = d
-        self.use_bn = use_bn
         rng = rng if rng is not None else np.random.default_rng(0)
         bound = 1.0 / math.sqrt(d)
         dt = get_default_dtype()
         self.weight = Parameter(rng.uniform(-bound, bound, size=(channels, d)).astype(dt))
-        if use_bn:
-            self.bn = BatchNorm(channels)
-            self.bias = None
-        else:
-            self.bn = None
-            self.bias = Parameter(np.zeros(channels, dtype=dt))
-        self.folded_weight: np.ndarray | None = None
-        self.folded_bias: np.ndarray | None = None
-        self.use_folded = False
+        self.bn = BatchNorm(channels) if use_bn else None
+        self.bias = None if use_bn else Parameter(np.zeros(channels, dtype=dt))
 
     def encode(self, t: Tensor) -> Tensor:
         if t.ndim != 3 or t.shape[1] != self.channels or t.shape[2] != self.d:
@@ -159,23 +151,16 @@ class StyleIntegration(Module):
         return tsum(t * self.weight, axis=2)
 
     def forward(self, t: Tensor) -> Tensor:
-        if self.use_folded:
-            if self.folded_weight is None:
-                raise FoldError("folded mode requested before fold() has run")
-            z = tsum(t * Tensor(self.folded_weight), axis=2)
-            return sigmoid(z + Tensor(self.folded_bias))
         z = self.encode(t)
-        if self.bn is not None:
-            z = self.bn(z)
-        else:
-            z = z + self.bias
-        return sigmoid(z)
+        return sigmoid(self.bn(z) if self.bn is not None else z + self.bias)
 
     def fold(self) -> None:
-        """Merge the eval-mode BN affine into the channel-wise weights.
+        """Merge the eval-mode BN affine into the weights and a bias, and drop the BN.
 
         w'_c = gamma_c * w_c / sqrt(var_c + eps)
         b'_c = beta_c - gamma_c * mean_c / sqrt(var_c + eps)
+
+        The folded layer is for inference only: the BN state is gone.
         """
         if self.bn is None:
             raise FoldError("fold: layer has no BN to fold")
@@ -185,9 +170,9 @@ class StyleIntegration(Module):
         if not np.isfinite(var).all() or not np.isfinite(self.bn.running_mean).all():
             raise FoldError("fold: running statistics contain non-finite values")
         scale = self.bn.gamma.data / np.sqrt(var + self.bn.eps)
-        self.folded_weight = self.weight.data * scale[:, None]
-        self.folded_bias = self.bn.beta.data - scale * self.bn.running_mean
-        self.use_folded = True
+        self.weight.data = self.weight.data * scale[:, None]
+        self.bias = Parameter(self.bn.beta.data - scale * self.bn.running_mean)
+        self.bn = None
 
 
 class MlpIntegration(Module):
@@ -207,11 +192,10 @@ class MlpIntegration(Module):
             raise ValueError(f"mlp integration: reduction ratio must be >= 1, got {reduction}")
         self.channels = channels
         self.d = d
-        self.reduction = reduction
         rng = rng if rng is not None else np.random.default_rng(0)
         hidden = max(1, (channels * d) // reduction)
-        self.fc1 = Linear(channels * d, hidden, bias=True, rng=rng)
-        self.fc2 = Linear(hidden, channels, bias=True, rng=rng)
+        self.fc1 = Linear(channels * d, hidden, rng=rng)
+        self.fc2 = Linear(hidden, channels, rng=rng)
         self.bn = BatchNorm(channels) if use_bn else None
 
     def forward(self, t: Tensor) -> Tensor:

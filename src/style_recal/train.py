@@ -91,11 +91,11 @@ def lr_at(schedule: list[tuple[int, float]], step: int) -> float:
     return current
 
 
-def step_schedule(initial: float, boundaries: list[int], factor: float = 0.1) -> list[tuple[int, float]]:
+def step_schedule(initial: float, boundaries: list[int]) -> list[tuple[int, float]]:
     sched = [(0, initial)]
     value = initial
     for b in boundaries:
-        value *= factor
+        value *= 0.1
         sched.append((b, value))
     return sched
 
@@ -275,7 +275,7 @@ def train(model: ResNet, dataset: Dataset, cfg: TrainConfig, out_dir: str | Path
     start_step = 0
     if resume_from is not None:
         start_step = load_checkpoint(resume_from, model, opt, expect_hash=chash)
-    result = TrainResult()
+    result = TrainResult(final_step=start_step)
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
@@ -338,12 +338,11 @@ def train(model: ResNet, dataset: Dataset, cfg: TrainConfig, out_dir: str | Path
             if stop_when is not None and stop_when(row):
                 break
 
-    if not result.diverged and result.final_step == 0:
-        result.final_step = start_step
     if result.metrics_path is not None:
         write_metrics_csv(result.metrics_path, result.rows)
-    if result.checkpoint_path is not None and not result.diverged:
-        save_checkpoint(result.checkpoint_path, model, opt, result.final_step, chash)
+    # Every run that steps ends at a log boundary or diverges; one that does not still leaves a checkpoint.
+    if result.checkpoint_path is not None and start_step >= cfg.steps:
+        save_checkpoint(result.checkpoint_path, model, opt, start_step, chash)
     return result
 
 

@@ -95,6 +95,19 @@ class TestExitCodes:
         assert rc == 2
         assert "use_nb" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage,fields,named", [
+        ({"channels": 16.0}, {}, "channels must be an integer >= 1, got 16.0"),
+        ({"blocks": True}, {}, "blocks must be an integer >= 1, got True"),
+        ({}, {"num_classes": "4"}, "num_classes must be an integer >= 1, got '4'"),
+        ({}, {"num_classes": 0}, "num_classes must be an integer >= 1, got 0"),
+        ({}, {"in_channels": 0}, "in_channels must be an integer >= 1, got 0"),
+    ])
+    def test_non_integer_arch_field_usage_error(self, tmp_path, capsys, stage, fields, named):
+        path = tmp_path / "arch.json"
+        path.write_text(json.dumps({"stages": [{"blocks": 1, "channels": 8, "stride": 1, **stage}], **fields}))
+        assert main(["complexity", "--arch", str(path)]) == 2
+        assert named in capsys.readouterr().err
+
 
 # sha256 of the stdout of `complexity --arch A --recalib R [--running-stats]`.
 # The output holds only integers and flops / 1e9, so it is the same on every
@@ -152,6 +165,11 @@ class TestGradcheckCommand:
         assert rc == 0
         assert "max relative error" in out
 
+    def test_no_seeds_usage_error(self, capsys):
+        assert main(["gradcheck", "--count", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "--count must be >= 1, got 0" in captured.err and captured.out == ""
+
 
 class TestSynthCommand:
     def test_outputs_and_manifest(self, synth_dir):
@@ -172,6 +190,12 @@ class TestSynthCommand:
                    "--means", "0.0,0.01", "--stds", "1.0,1.0", "--jitter", "0.1"])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag", ["--means", "--stds"])
+    def test_unparsable_targets_usage_error(self, tmp_path, capsys, flag):
+        assert main(["synth", "--out", str(tmp_path), "--classes", "2", flag, "a,b"]) == 2
+        assert f"{flag} 'a,b'" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_unusable_spec_usage_error(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path), "--size", "1"]) == 2
         assert "size must be >= 2, got 1" in capsys.readouterr().err
@@ -187,6 +211,7 @@ class TestTrainUsageErrors:
         (["--log-every", "0"], "log_every must be >= 1, got 0"),
         (["--batch", "0"], "batch_size must be >= 2, got 0"),
         (["--batch", "1"], "batch_size must be >= 2, got 1"),
+        (["--batch", "128"], "dataset of 64 examples is smaller than --batch 128"),
     ])
     def test_bad_value_is_named_and_writes_nothing(self, synth_dir, tmp_path_factory, tmp_path, capsys,
                                                    flags, named):
@@ -262,6 +287,25 @@ class TestTrainEvalPipeline:
         lines = (tmp_path / "prune.csv").read_text().splitlines()
         assert lines[0] == "ratio,top1"
         assert len(lines) == 12  # header + 11 ratios
+
+    @pytest.mark.parametrize("command,flags,named", [
+        ("prune", ["--stage", "0", "--ratios", "1.5"], "--ratios '1.5'"),
+        ("prune", ["--stage", "0", "--ratios", "a,0.5"], "--ratios 'a,0.5'"),
+        ("prune", ["--stage", "7"], "--stage 7"),
+        ("analyze", ["--top-k", "0"], "--top-k must be >= 1, got 0"),
+    ])
+    def test_unusable_value_usage_error(self, trained_run, synth_dir, tmp_path, capsys, command, flags, named):
+        rc = main([
+            command,
+            "--arch", _arch_cache["path"],
+            "--recalib", "srm",
+            "--ckpt", str(trained_run / "checkpoint.bin"),
+            "--data", str(synth_dir / "test.bin"),
+            "--out", str(tmp_path),
+        ] + flags)
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_analyze_outputs(self, trained_run, synth_dir, tmp_path, capsys):
         rc = main([

@@ -209,14 +209,15 @@ class TestAugment:
         np.testing.assert_array_equal(a, b)
 
 
-def test_iteration_order_reproducible():
+def test_batches_are_views_in_dataset_order():
     from style_recal.data import iterate_batches
 
-    ds = synth_style(SynthStyleSpec(seed=0, per_class=8, size=8))
-    order = np.random.default_rng(3).permutation(len(ds))
-    first = [labels.tolist() for _, labels in iterate_batches(ds, 8, order)]
-    second = [labels.tolist() for _, labels in iterate_batches(ds, 8, order)]
-    assert first == second
+    ds = synth_style(SynthStyleSpec(seed=0, per_class=5, size=8))
+    batches = list(iterate_batches(ds, 8))
+    assert [len(labels) for _, labels in batches] == [8, 8, 4]
+    assert all(np.shares_memory(images, ds.images) for images, _ in batches)
+    np.testing.assert_array_equal(np.concatenate([images for images, _ in batches]), ds.images)
+    np.testing.assert_array_equal(np.concatenate([labels for _, labels in batches]), ds.labels)
 
 
 class TestDatasetContainer:

@@ -2,7 +2,7 @@ from style_recal.gradcheck import SUITE_TOLERANCE, default_checks, run_suite
 
 
 def test_suite_covers_all_ops_and_blocks():
-    names = {c.name for c in default_checks()}
+    names = set(default_checks())
     required = {
         "add", "mul", "matmul", "relu", "sigmoid", "sum",
         "reshape", "scale_channels", "conv2d", "maxpool2d",

@@ -205,3 +205,17 @@ class TestModuleSystem:
         bn = BatchNorm(4)
         names = dict(bn.named_buffers())
         assert set(names) == {"running_mean", "running_var", "num_batches"}
+
+    def test_rebinding_a_name_drops_its_registration(self):
+        class Net(Module):
+            def __init__(self):
+                super().__init__()
+                self.head = Linear(4, 2)
+                self.bn = BatchNorm(2)
+
+        net = Net()
+        net.bn = None
+        net.head = Conv2d(1, 1, 1)
+        assert [n for n, _ in net.named_parameters()] == ["head.weight"]
+        assert list(net.named_buffers()) == []
+        assert len(list(net.modules())) == 2

@@ -50,6 +50,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             ArchitectureConfig(stages=[StageSpec(1, 8, 1), StageSpec(1, 16, 1)])
 
+    @pytest.mark.parametrize("stage,fields,named", [
+        ({"channels": 16.0}, {}, "channels"),
+        ({"blocks": True}, {}, "blocks"),
+        ({"stride": "1"}, {}, "stride"),
+        ({"blocks": 0}, {}, "blocks"),
+        ({}, {"num_classes": "4"}, "num_classes"),
+        ({}, {"num_classes": 0}, "num_classes"),
+        ({}, {"in_channels": 3.0}, "in_channels"),
+        ({}, {"in_channels": 0}, "in_channels"),
+        ({}, {"stem_channels": False}, "stem_channels"),
+    ])
+    def test_integer_fields_are_checked_not_coerced(self, stage, fields, named):
+        d = {"stages": [{"blocks": 1, "channels": 16, "stride": 1, **stage}], **fields}
+        with pytest.raises(ValueError, match=f"{named} must be an integer >= 1"):
+            ArchitectureConfig.from_dict(d)
+
     def test_json_roundtrip(self):
         cfg = cifar_resnet_config(20, recalib="srm")
         again = ArchitectureConfig.from_json(__import__("json").dumps(asdict(cfg)))
@@ -194,6 +210,23 @@ class TestIdentityLimits:
         assert folded == len(model.recalib_layers())
         g_eval = model(x).data  # folded path now active
         assert np.isfinite(g_eval).all()
+
+    def test_fold_rewrites_the_layer_for_inference(self, tmp_path):
+        from style_recal.train import load_checkpoint, save_checkpoint
+
+        model = build_resnet(small_cfg("srm"), seed=9)
+        x = Tensor(np.random.default_rng(10).normal(size=(4, 3, 8, 8)).astype(np.float32))
+        with Tape():
+            model(x)
+        save_checkpoint(tmp_path / "unfolded.bin", model, None, 1, "h")
+        assert model.fold_bn() == len(model.recalib_layers())
+        names = [n for n, _ in model.named_parameters() if ".recalib." in n]
+        assert names == [f"stages.{s}.0.recalib.integrate.{p}" for s in (0, 1) for p in ("weight", "bias")]
+        assert not any(".recalib." in n for n, _ in model.named_buffers())
+        assert not any(layer.can_fold for _, _, layer in model.recalib_layers())
+        assert model.fold_bn() == 0
+        with pytest.raises(ValueError, match=r"integrate\.bn\.gamma"):  # saved, but no longer in the model
+            load_checkpoint(tmp_path / "unfolded.bin", model)
 
 
 # sha256 of the JSON list [arch, recalib, [[key, shape, dtype], ...]] over the

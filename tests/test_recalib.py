@@ -123,12 +123,6 @@ class TestStyleIntegration:
         assert g.shape == (6, 5)
         assert (g > 0).all() and (g < 1).all()
 
-    def test_folded_before_fold_rejected(self):
-        layer = StyleIntegration(3, 2)
-        layer.use_folded = True
-        with pytest.raises(FoldError, match="before fold"):
-            layer(Tensor(np.zeros((2, 3, 2))))
-
     def test_fold_requires_populated_stats(self):
         layer = StyleIntegration(3, 2)
         with pytest.raises(FoldError, match="running statistics"):
@@ -147,21 +141,23 @@ class TestFoldIdentity:
         layer = StyleIntegration(3, 2, rng=np.random.default_rng(4))
         layer.bn.eps = 0.0
         layer.bn.num_batches[...] = 1  # running mean 0, var 1 defaults
+        weight = layer.weight.data.copy()
         layer.fold()
-        np.testing.assert_allclose(layer.folded_weight, layer.weight.data, rtol=1e-7)
-        np.testing.assert_allclose(layer.folded_bias, 0.0, atol=1e-12)
+        np.testing.assert_allclose(layer.weight.data, weight, rtol=1e-7)
+        np.testing.assert_allclose(layer.bias.data, 0.0, atol=1e-12)
 
     def test_zero_gamma_gives_constant_gate(self):
         layer = StyleIntegration(3, 2, rng=np.random.default_rng(5))
         layer.bn.gamma.data[...] = 0.0
-        layer.bn.beta.data[...] = np.array([0.5, -1.0, 2.0], dtype=np.float32)
+        beta = np.array([0.5, -1.0, 2.0], dtype=np.float32)
+        layer.bn.beta.data[...] = beta
         layer.bn.num_batches[...] = 1
         layer.fold()
-        np.testing.assert_allclose(layer.folded_weight, 0.0)
-        np.testing.assert_allclose(layer.folded_bias, layer.bn.beta.data)
+        np.testing.assert_allclose(layer.weight.data, 0.0)
+        np.testing.assert_allclose(layer.bias.data, beta)
         t = Tensor(np.random.default_rng(6).normal(size=(4, 3, 2)).astype(np.float32))
         g = layer(t).data
-        np.testing.assert_allclose(g, np.broadcast_to(sigmoid(layer.bn.beta.data), g.shape), rtol=1e-6)
+        np.testing.assert_allclose(g, np.broadcast_to(sigmoid(beta), g.shape), rtol=1e-6)
 
     def test_eval_equals_folded_over_random_states(self):
         rng = np.random.default_rng(7)

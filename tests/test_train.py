@@ -152,6 +152,29 @@ class TestTrainLoop:
             rows.append((out / "metrics.csv").read_bytes())
         assert rows[0] == rows[1]
 
+    @pytest.mark.parametrize("resume,saved", [(False, [2, 4]), (True, [4])])
+    def test_checkpoint_written_once_per_boundary(self, tmp_path, monkeypatch, resume, saved):
+        import importlib
+
+        train_mod = importlib.import_module("style_recal.train")
+        cfg = TrainConfig(steps=4, batch_size=8, lr=0.01, seed=0, log_every=2)
+        resume_from = None
+        if resume:  # resumed at the last step, so no step runs
+            first = train(build_resnet(tiny_cfg(), seed=0), tiny_data(), cfg, out_dir=tmp_path / "a")
+            resume_from = first.checkpoint_path
+        calls = []
+        real = train_mod.save_checkpoint
+
+        def counting(path, model, opt, step, cfg_hash):
+            calls.append(step)
+            real(path, model, opt, step, cfg_hash)
+
+        monkeypatch.setattr(train_mod, "save_checkpoint", counting)
+        result = train(build_resnet(tiny_cfg(), seed=0), tiny_data(), cfg, out_dir=tmp_path / "b",
+                       resume_from=resume_from)
+        assert calls == saved
+        assert result.final_step == 4 and result.checkpoint_path.exists()
+
     def test_checkpoint_roundtrip_bitwise(self, tmp_path):
         model = build_resnet(tiny_cfg(), seed=1)
         data = tiny_data()
