@@ -10,7 +10,7 @@ retrieval).
 
 __version__ = "0.1.0"
 
-from .tensor import Parameter, Tape, Tensor, grad_check, set_default_dtype, using_dtype
+from .tensor import Parameter, Tape, Tensor, grad_check, using_dtype
 from .layers import BatchNorm, Conv2d, Linear, Module, global_pool
 from .recalib import ChannelRecalib, RecalibVariant
 from .models import (
@@ -39,7 +39,6 @@ __all__ = [
     "Parameter",
     "Tape",
     "grad_check",
-    "set_default_dtype",
     "using_dtype",
     "Module",
     "Conv2d",

@@ -15,8 +15,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .analysis import capture_record, correlation_matrix, jaccard_overlap, prune_eval, save_record, top_activated
 from .complexity import analyze as complexity_analyze, format_table
@@ -32,8 +30,7 @@ from .data import (
 )
 from .gradcheck import SUITE_TOLERANCE, run_suite
 from .models import ArchitectureConfig, build_resnet, named_config, parse_recalib
-from .tensor import set_default_dtype
-from .train import TrainConfig, config_hash, evaluate, load_checkpoint, train
+from .train import TrainConfig, config_hash, evaluate, load_model, train
 
 __all__ = ["main", "entry"]
 
@@ -74,10 +71,6 @@ def _load_data(path_flag: str | None, split: str) -> Dataset:
     return load_dataset(path)
 
 
-def _set_precision(name: str) -> None:
-    set_default_dtype(np.float32 if name == "f32" else np.float64)
-
-
 def _set_threads(n: int | None) -> None:
     if n is None:
         return
@@ -102,11 +95,8 @@ def _cmd_train(args) -> int:
     if args.eval_every:
         test_path = args.test_data or args.data
         test_set = _load_data(test_path, "test")
-    steps = args.steps
-    if steps is None and args.epochs is not None:
-        steps = args.epochs * (len(dataset) // max(args.batch, 1))  # TrainConfig rejects a batch below 2
-    if steps is None:
-        raise UsageError("train: pass --steps or --epochs")
+    # argparse sets exactly one of --steps and --epochs; TrainConfig rejects a batch below 2.
+    steps = args.steps if args.epochs is None else args.epochs * (len(dataset) // max(args.batch, 1))
     try:
         schedule = None
         if args.schedule:
@@ -145,10 +135,9 @@ def _cmd_train(args) -> int:
 
 
 def _restore_model(args):
-    model = build_resnet(_load_arch(args.arch, args.recalib))
     if not Path(args.ckpt).exists():
         raise UsageError(f"checkpoint {args.ckpt} does not exist")
-    load_checkpoint(args.ckpt, model)
+    model = load_model(args.ckpt)
     model.eval()
     return model
 
@@ -289,75 +278,71 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=True, model=False):
+    def seed(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--precision", choices=["f32", "f64"], default="f32")
-        if data:
-            p.add_argument("--data", default=None, help="dataset container or binary-batch directory "
-                                                        "(default: STYLE_RECAL_DATA)")
-            p.add_argument("--batch", type=int, default=128)
-        if model:
-            p.add_argument("--arch", required=True, help="architecture JSON path or preset name")
-            p.add_argument("--recalib", default=None, help="none | srm | se | se:<r> | JSON variant")
 
-    p = sub.add_parser("train", help="train a model")
-    common(p, model=True)
+    def data(p):
+        p.add_argument("--data", default=None, help="dataset container or binary-batch directory "
+                                                    "(default: STYLE_RECAL_DATA)")
+        p.add_argument("--batch", type=int, default=128)
+
+    def arch(p):
+        p.add_argument("--arch", required=True, help="architecture JSON path or preset name")
+        p.add_argument("--recalib", default=None, help="none | srm | se | se:<r> | JSON variant")
+
+    def checkpoint(p):
+        data(p)
+        p.add_argument("--ckpt", required=True, help="checkpoint; the model is built from the architecture it records")
+        p.add_argument("--split", choices=["train", "test"], default="test")
+
+    def command(name, func, help, *groups):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--threads", type=int, default=None)
+        for group in groups:
+            group(p)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("train", _cmd_train, "train a model", seed, data, arch)
     p.add_argument("--out", required=True)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=0.1)
+    length = p.add_mutually_exclusive_group(required=True)
+    length.add_argument("--steps", type=int, default=None)
+    length.add_argument("--epochs", type=int, default=None)
+    rate = p.add_mutually_exclusive_group()
+    rate.add_argument("--lr", type=float, default=0.1)
+    rate.add_argument("--schedule", default=None, help="comma list of step:lr from step 0, e.g. 0:0.2,32000:0.02")
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--weight-decay", type=float, default=1e-4)
-    p.add_argument("--schedule", default=None, help="comma list of step:lr, e.g. 0:0.2,32000:0.02")
     p.add_argument("--augment", choices=["none", "pad-crop-flip"], default="none")
     p.add_argument("--log-every", type=int, default=50)
     p.add_argument("--eval-every", type=int, default=0)
     p.add_argument("--test-data", default=None)
     p.add_argument("--resume", default=None, help="checkpoint to resume from")
-    p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
-    common(p, model=True)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--split", choices=["train", "test"], default="test")
+    p = command("eval", _cmd_eval, "evaluate a checkpoint", checkpoint)
     p.add_argument("--fold-bn", action="store_true", help="fold recalibration BN before evaluating")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("prune", help="per-image dynamic channel pruning sweep")
-    common(p, model=True)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--split", choices=["train", "test"], default="test")
+    p = command("prune", _cmd_prune, "per-image dynamic channel pruning sweep", checkpoint)
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--ratios", default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_prune)
 
-    p = sub.add_parser("analyze", help="capture gates; correlation and top-activated reports")
-    common(p, model=True)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--split", choices=["train", "test"], default="test")
+    p = command("analyze", _cmd_analyze, "capture gates; correlation and top-activated reports", checkpoint)
     p.add_argument("--fold-bn", action="store_true")
     p.add_argument("--top-k", type=int, default=5)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("complexity", help="parameter and FLOP report")
-    common(p, data=False, model=True)
+    p = command("complexity", _cmd_complexity, "parameter and FLOP report", arch)
     p.add_argument("--input-size", type=int, default=None)
     p.add_argument("--running-stats", action="store_true",
                    help="count BN running statistics as parameters")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_complexity)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    common(p, data=False)
+    p = command("gradcheck", _cmd_gradcheck, "finite-difference gradient suite", seed)
     p.add_argument("--count", type=int, default=1, help="number of seeds starting at --seed")
-    p.set_defaults(func=_cmd_gradcheck)
 
-    p = sub.add_parser("synth", help="generate the synthetic style-discriminable dataset")
-    common(p, data=False)
+    p = command("synth", _cmd_synth, "generate the synthetic style-discriminable dataset", seed)
     p.add_argument("--out", required=True)
     p.add_argument("--classes", type=int, default=4)
     p.add_argument("--per-class", type=int, default=128)
@@ -366,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jitter", type=float, default=0.08)
     p.add_argument("--means", default=None, help="comma list, one per class")
     p.add_argument("--stds", default=None, help="comma list, one per class")
-    p.set_defaults(func=_cmd_synth)
 
     return parser
 
@@ -376,7 +360,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _set_threads(args.threads)
-        _set_precision(args.precision)
         return args.func(args)
     except (UsageError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,6 +8,7 @@ the kink so the finite difference stays valid.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable
 
 import numpy as np
@@ -242,6 +243,8 @@ def run_suite(seeds: Iterable[int] = range(10)) -> dict[str, float]:
             worst = 0.0
             for seed in seeds:
                 err = run(np.random.default_rng(seed))
+                if not math.isfinite(err):  # max() would drop a NaN
+                    raise T.GradCheckError(f"{name}: non-finite relative error {err!r} at seed {seed}")
                 worst = max(worst, err)
             results[name] = worst
     return results

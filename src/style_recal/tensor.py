@@ -6,9 +6,10 @@ record, and ``Tape.backward`` replays the records in exact reverse execution
 order, accumulating gradients additively across fan-out. Only leaves (tensors
 not made on that tape) keep a ``.grad``.
 
-Two float precisions are supported (float32 for training, float64 for
-finite-difference gradient checks); the active precision is a process-wide
-setting chosen per run, not mixed within one.
+Two float precisions are supported: float32, the default and the training
+precision, and float64 for finite-difference gradient checks. ``using_dtype``
+is the one way to switch the precision new tensors get by default, for the
+span of a ``with`` block.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "Tape",
     "GradCheckError",
     "ShapeError",
-    "set_default_dtype",
     "get_default_dtype",
     "using_dtype",
     "add",
@@ -60,15 +60,7 @@ class ShapeError(ValueError):
 
 
 class GradCheckError(RuntimeError):
-    """Raised when a gradient check cannot be evaluated (non-finite loss)."""
-
-
-def set_default_dtype(dtype) -> None:
-    global _DEFAULT_DTYPE
-    dt = np.dtype(dtype).type
-    if dt not in _FLOAT_DTYPES:
-        raise ValueError(f"unsupported dtype {dtype!r}; use float32 or float64")
-    _DEFAULT_DTYPE = dt
+    """Raised when a gradient check cannot be evaluated (non-finite loss or relative error)."""
 
 
 def get_default_dtype():
@@ -78,12 +70,15 @@ def get_default_dtype():
 @contextlib.contextmanager
 def using_dtype(dtype):
     """Temporarily switch the default precision (e.g. float64 for grad checks)."""
-    previous = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
+    global _DEFAULT_DTYPE
+    dt = np.dtype(dtype).type
+    if dt not in _FLOAT_DTYPES:
+        raise ValueError(f"unsupported dtype {dtype!r}; use float32 or float64")
+    previous, _DEFAULT_DTYPE = _DEFAULT_DTYPE, dt
     try:
         yield
     finally:
-        set_default_dtype(previous)
+        _DEFAULT_DTYPE = previous
 
 
 class Tensor:
@@ -706,7 +701,7 @@ def grad_check(fn: Callable[[Sequence[Tensor]], Tensor], inputs: Sequence[Tensor
     tape.backward(loss)
 
     worst = 0.0
-    for t in inputs:
+    for k, t in enumerate(inputs):
         analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
         flat = t.data.reshape(-1)
         for i in range(flat.size):
@@ -721,5 +716,7 @@ def grad_check(fn: Callable[[Sequence[Tensor]], Tensor], inputs: Sequence[Tensor
             fd = (float(hi) - float(lo)) / (2.0 * eps)
             an = float(analytic.reshape(-1)[i])
             err = abs(an - fd) / max(abs(an), abs(fd), 1e-8)
+            if not math.isfinite(err):  # max() would drop a NaN
+                raise GradCheckError(f"grad_check: non-finite relative error at input {k}, element {i}")
             worst = max(worst, err)
     return worst

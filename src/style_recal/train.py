@@ -20,7 +20,7 @@ import numpy as np
 
 from .container import read_container, write_container
 from .data import Dataset, augment, iterate_batches
-from .models import ResNet
+from .models import ArchitectureConfig, ResNet, build_resnet
 from .tensor import Tape, Tensor, cross_entropy
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "evaluate",
     "save_checkpoint",
     "load_checkpoint",
+    "load_model",
     "config_hash",
 ]
 
@@ -48,7 +49,7 @@ class TrainConfig:
     lr: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 1e-4
-    schedule: list[tuple[int, float]] | None = None  # (step, lr), strictly increasing
+    schedule: list[tuple[int, float]] | None = None  # (step, lr) from step 0, strictly increasing
     seed: int = 0
     augment_policy: str = "none"
     log_every: int = 50
@@ -64,6 +65,8 @@ class TrainConfig:
         steps = [s for s, _ in self.schedule]
         if steps != sorted(set(steps)):
             raise ValueError(f"schedule steps must be strictly increasing, got {steps}")
+        if steps[0] != 0:
+            raise ValueError(f"schedule must start at step 0, got {steps}")
         if any(v <= 0 for _, v in self.schedule):
             raise ValueError(f"schedule learning rates must be positive, got {[v for _, v in self.schedule]}")
         if self.eval_every % self.log_every != 0:
@@ -79,16 +82,10 @@ class TrainConfig:
 
 
 def lr_at(schedule: list[tuple[int, float]], step: int) -> float:
-    """Piecewise-constant rate; a boundary's new value applies at that step."""
+    """Piecewise-constant rate of a schedule from step 0; a boundary's new value applies at that step."""
     if step < 0:
         raise ValueError("step must be >= 0")
-    current = schedule[0][1]
-    for boundary, value in schedule:
-        if step >= boundary:
-            current = value
-        else:
-            break
-    return current
+    return max((boundary, value) for boundary, value in schedule if boundary <= step)[1]
 
 
 def step_schedule(initial: float, boundaries: list[int]) -> list[tuple[int, float]]:
@@ -179,15 +176,32 @@ def _model_state(model: ResNet, opt: SGD | None) -> dict[str, np.ndarray]:
 
 
 def save_checkpoint(path: str | Path, model: ResNet, opt: SGD | None, step: int, cfg_hash: str) -> None:
-    write_container(path, _model_state(model, opt), meta={"kind": "checkpoint", "step": step, "config_hash": cfg_hash})
+    meta = {"kind": "checkpoint", "step": step, "config_hash": cfg_hash, "arch": asdict(model.config)}
+    write_container(path, _model_state(model, opt), meta=meta)
+
+
+def _read_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
+    entries, meta = read_container(path)
+    if meta.get("kind") != "checkpoint":
+        raise ValueError(f"{path}: not a checkpoint container")
+    return entries, meta
+
+
+def load_model(path: str | Path) -> ResNet:
+    """Build the architecture a checkpoint's meta records and restore its parameters and buffers."""
+    entries, meta = _read_checkpoint(path)
+    if "arch" not in meta:
+        raise ValueError(f"{path}: checkpoint meta records no architecture; build the model "
+                         "and restore it with load_checkpoint")
+    model = build_resnet(ArchitectureConfig.from_dict(meta["arch"]))
+    _apply_state(model, None, entries, str(path))
+    return model
 
 
 def load_checkpoint(path: str | Path, model: ResNet, opt: SGD | None = None,
                     expect_hash: str | None = None) -> int:
     """Restore parameters, buffers, and optimizer state in place; returns the step."""
-    entries, meta = read_container(path)
-    if meta.get("kind") != "checkpoint":
-        raise ValueError(f"{path}: not a checkpoint container")
+    entries, meta = _read_checkpoint(path)
     if expect_hash is not None and meta.get("config_hash") not in (None, expect_hash):
         raise ValueError(f"{path}: checkpoint config hash {meta.get('config_hash')} != expected {expect_hash}")
     _apply_state(model, opt, entries, str(path))

@@ -1,10 +1,20 @@
+import argparse
+import csv
 import hashlib
 import json
+import re
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from style_recal.cli import main
+from style_recal.analysis import capture_record, correlation_matrix, prune_eval
+from style_recal.cli import build_parser, main
+from style_recal.container import read_container, write_container
+from style_recal.data import load_dataset
+from style_recal.models import ArchitectureConfig, build_resnet
+from style_recal.train import evaluate, load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +85,7 @@ class TestExitCodes:
 
     def test_missing_dataset_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("STYLE_RECAL_DATA", raising=False)
-        rc = main(["eval", "--arch", "resnet20", "--ckpt", str(tmp_path / "no.bin")])
+        rc = main(["eval", "--ckpt", str(tmp_path / "no.bin")])
         assert rc == 2
 
     def test_threads_without_threadpoolctl_usage_error(self, capsys, monkeypatch):
@@ -202,6 +212,33 @@ class TestSynthCommand:
         assert not (tmp_path / "manifest.json").exists()
 
 
+# Every flag of every subcommand; README.md's "Command line" table lists the same sets.
+CLI_FLAGS = {
+    "train": {"--threads", "--seed", "--data", "--batch", "--arch", "--recalib", "--out", "--steps", "--epochs",
+              "--lr", "--schedule", "--momentum", "--weight-decay", "--augment", "--log-every", "--eval-every",
+              "--test-data", "--resume"},
+    "eval": {"--threads", "--data", "--batch", "--ckpt", "--split", "--fold-bn", "--out"},
+    "prune": {"--threads", "--data", "--batch", "--ckpt", "--split", "--stage", "--ratios", "--out"},
+    "analyze": {"--threads", "--data", "--batch", "--ckpt", "--split", "--fold-bn", "--top-k", "--out"},
+    "complexity": {"--threads", "--arch", "--recalib", "--input-size", "--running-stats", "--out"},
+    "gradcheck": {"--threads", "--seed", "--count"},
+    "synth": {"--threads", "--seed", "--out", "--classes", "--per-class", "--size", "--channels", "--jitter",
+              "--means", "--stds"},
+}
+
+
+def test_cli_surface_is_pinned():
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {name: {s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")}
+             for name, p in subparsers.choices.items()}
+    assert found == CLI_FLAGS
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    listed = {m[1]: set(re.findall(r"`(--[a-z-]+)`", m[2]))
+              for m in re.finditer(r"^\| `(\w+)` \| (.*) \|$", section, re.MULTILINE)}
+    assert listed == CLI_FLAGS
+
+
 class TestTrainUsageErrors:
     @pytest.mark.parametrize("flags,named", [
         (["--schedule", "100"], "'100'"),
@@ -222,6 +259,28 @@ class TestTrainUsageErrors:
         assert named in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--lr", "0.5", "--schedule", "0:0.05"], "argument --schedule: not allowed with argument --lr"),
+        (["--epochs", "1"], "argument --epochs: not allowed with argument --steps"),
+    ])
+    def test_flags_that_would_override_each_other(self, synth_dir, tmp_path_factory, tmp_path, capsys,
+                                                 flags, named):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--arch", _tiny_arch_file(tmp_path_factory), "--data", str(synth_dir / "train.bin"),
+                  "--out", str(out), "--steps", "2", "--batch", "8"] + flags)
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_schedule_not_from_step_zero_usage_error(self, synth_dir, tmp_path_factory, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["train", "--arch", _tiny_arch_file(tmp_path_factory), "--data", str(synth_dir / "train.bin"),
+                   "--out", str(out), "--steps", "2", "--batch", "8", "--schedule", "100:0.05"])
+        assert rc == 2
+        assert "schedule must start at step 0, got [100]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainEvalPipeline:
     def test_train_outputs(self, trained_run):
@@ -234,8 +293,6 @@ class TestTrainEvalPipeline:
     def test_eval_checkpoint(self, trained_run, synth_dir, tmp_path_factory, capsys):
         rc = main([
             "eval",
-            "--arch", _arch_cache["path"],
-            "--recalib", "srm",
             "--ckpt", str(trained_run / "checkpoint.bin"),
             "--data", str(synth_dir / "test.bin"),
         ])
@@ -244,25 +301,9 @@ class TestTrainEvalPipeline:
         assert 0.0 <= payload["top1"] <= 1.0
         assert payload["examples"] == 64
 
-    @pytest.mark.parametrize("recalib", ["none", "se"])
-    def test_eval_mismatched_recalib_names_keys(self, trained_run, synth_dir, capsys, recalib):
-        rc = main([
-            "eval",
-            "--arch", _arch_cache["path"],
-            "--recalib", recalib,
-            "--ckpt", str(trained_run / "checkpoint.bin"),
-            "--data", str(synth_dir / "test.bin"),
-        ])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ValueError:") and "KeyError" not in err
-        assert "param.stages.0.0.recalib.integrate.weight" in err
-
     def test_eval_with_fold(self, trained_run, synth_dir, capsys):
         args = [
             "eval",
-            "--arch", _arch_cache["path"],
-            "--recalib", "srm",
             "--ckpt", str(trained_run / "checkpoint.bin"),
             "--data", str(synth_dir / "test.bin"),
         ]
@@ -275,8 +316,6 @@ class TestTrainEvalPipeline:
     def test_prune_csv_row_count(self, trained_run, synth_dir, tmp_path, capsys):
         rc = main([
             "prune",
-            "--arch", _arch_cache["path"],
-            "--recalib", "srm",
             "--ckpt", str(trained_run / "checkpoint.bin"),
             "--data", str(synth_dir / "test.bin"),
             "--stage", "0",
@@ -297,8 +336,6 @@ class TestTrainEvalPipeline:
     def test_unusable_value_usage_error(self, trained_run, synth_dir, tmp_path, capsys, command, flags, named):
         rc = main([
             command,
-            "--arch", _arch_cache["path"],
-            "--recalib", "srm",
             "--ckpt", str(trained_run / "checkpoint.bin"),
             "--data", str(synth_dir / "test.bin"),
             "--out", str(tmp_path),
@@ -310,8 +347,6 @@ class TestTrainEvalPipeline:
     def test_analyze_outputs(self, trained_run, synth_dir, tmp_path, capsys):
         rc = main([
             "analyze",
-            "--arch", _arch_cache["path"],
-            "--recalib", "srm",
             "--ckpt", str(trained_run / "checkpoint.bin"),
             "--data", str(synth_dir / "test.bin"),
             "--out", str(tmp_path),
@@ -363,3 +398,70 @@ class TestTrainEvalPipeline:
         assert main(["train", *common, "--out", str(resumed), "--steps", "4",
                      "--resume", str(half / "checkpoint.bin")]) == 0
         assert (resumed / "checkpoint.bin").read_bytes() == (full / "checkpoint.bin").read_bytes()
+
+
+# A variant with the same parameter shapes as "srm": only the recorded architecture tells them apart.
+STD_MAX_VARIANT = {"pooling": ["std", "max"], "integration": "cfc", "use_bn": True}
+
+
+@pytest.fixture(scope="module")
+def variant_run(tmp_path_factory, synth_dir):
+    work = tmp_path_factory.mktemp("variant")
+    arch = json.loads(Path(_tiny_arch_file(tmp_path_factory)).read_text())
+    (work / "arch.json").write_text(json.dumps({**arch, "recalib": STD_MAX_VARIANT}))
+    rc = main(["train", "--arch", str(work / "arch.json"), "--data", str(synth_dir / "train.bin"),
+               "--out", str(work / "run"), "--steps", "4", "--batch", "16", "--lr", "0.05", "--log-every", "2"])
+    assert rc == 0
+    return work
+
+
+class TestModelFromCheckpoint:
+    def _by_hand(self, variant_run):
+        """The model the checkpoint's architecture file describes, restored with load_checkpoint."""
+        model = build_resnet(ArchitectureConfig.from_json((variant_run / "arch.json").read_text()))
+        load_checkpoint(variant_run / "run" / "checkpoint.bin", model)
+        model.eval()
+        return model
+
+    def _run(self, variant_run, synth_dir, command, *flags):
+        return main([command, "--ckpt", str(variant_run / "run" / "checkpoint.bin"),
+                     "--data", str(synth_dir / "test.bin"), *flags])
+
+    def test_eval_needs_no_model_flags(self, variant_run, synth_dir, capsys):
+        assert self._run(variant_run, synth_dir, "eval") == 0
+        top1 = json.loads(capsys.readouterr().out)["top1"]
+        assert top1 == evaluate(self._by_hand(variant_run), load_dataset(synth_dir / "test.bin"), batch_size=128)
+
+    def test_prune_needs_no_model_flags(self, variant_run, synth_dir, tmp_path, capsys):
+        assert self._run(variant_run, synth_dir, "prune", "--stage", "1", "--ratios", "0,0.5,1",
+                         "--out", str(tmp_path)) == 0
+        dataset = load_dataset(synth_dir / "test.bin")
+        want = [["ratio", "top1"]] + [[repr(r), repr(prune_eval(self._by_hand(variant_run), dataset, 1, r,
+                                                                batch_size=128))] for r in (0.0, 0.5, 1.0)]
+        assert list(csv.reader(open(tmp_path / "prune.csv"))) == want
+
+    def test_analyze_needs_no_model_flags(self, variant_run, synth_dir, tmp_path, capsys):
+        assert self._run(variant_run, synth_dir, "analyze", "--out", str(tmp_path)) == 0
+        record = capture_record(self._by_hand(variant_run), load_dataset(synth_dir / "test.bin"), batch_size=128)
+        gates, _ = read_container(tmp_path / "record.bin")
+        for si, bi in record.layers:
+            np.testing.assert_array_equal(gates[f"gates.{si}.{bi}"], record.gates[si, bi])
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["sum_squared_corr"] == sum(float((correlation_matrix(record, layer) ** 2).sum())
+                                                  for layer in record.layers)
+
+    def test_checkpoint_without_arch_exits_1_naming_the_file(self, variant_run, synth_dir, tmp_path, capsys):
+        entries, meta = read_container(variant_run / "run" / "checkpoint.bin")
+        del meta["arch"]
+        old = tmp_path / "old.bin"
+        write_container(old, entries, meta=meta)
+        assert main(["eval", "--ckpt", str(old), "--data", str(synth_dir / "test.bin")]) == 1
+        assert f"{old}: checkpoint meta records no architecture" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--recalib", "srm"], ["--arch", "resnet20"], ["--seed", "1"],
+                                       ["--precision", "f32"]])
+    def test_model_flags_are_usage_errors(self, variant_run, synth_dir, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            self._run(variant_run, synth_dir, "eval", *flags)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err

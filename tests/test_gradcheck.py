@@ -1,4 +1,8 @@
+import pytest
+
+from style_recal import gradcheck
 from style_recal.gradcheck import SUITE_TOLERANCE, default_checks, run_suite
+from style_recal.tensor import GradCheckError
 
 
 def test_suite_covers_all_ops_and_blocks():
@@ -17,3 +21,10 @@ def test_suite_covers_all_ops_and_blocks():
 def test_single_seed_suite_passes():
     results = run_suite(seeds=[0])
     assert max(results.values()) < SUITE_TOLERANCE
+
+
+def test_nan_error_fails_the_suite(monkeypatch):
+    monkeypatch.setattr(gradcheck, "default_checks", lambda: {"finite": lambda rng: 0.5,
+                                                              "nan": lambda rng: float("nan")})
+    with pytest.raises(GradCheckError, match="nan: non-finite relative error nan at seed 1"):
+        run_suite(seeds=[1])

@@ -571,6 +571,18 @@ class TestGradCheck:
         with pytest.raises(GradCheckError):
             grad_check(fn, [x])
 
+    def test_nan_gradient_fails_the_check(self, monkeypatch):
+        x = Tensor(np.arange(1.0, 4.0), dtype=np.float64)
+        real = Tape.backward
+
+        def nan_backward(tape, loss):
+            real(tape, loss)
+            x.grad = np.full_like(x.data, np.nan)
+
+        monkeypatch.setattr(Tape, "backward", nan_backward)
+        with pytest.raises(GradCheckError, match="input 0, element 0"):
+            grad_check(lambda ts: T.tsum(ts[0] * ts[0]), [x])
+
     @pytest.mark.parametrize("seed", range(10))
     def test_conv_via_finite_differences(self, seed):
         with using_dtype(np.float64):
@@ -593,7 +605,8 @@ class TestDtypeModes:
 
     def test_invalid_dtype_rejected(self):
         with pytest.raises(ValueError):
-            T.set_default_dtype(np.int32)
+            with using_dtype(np.int32):
+                pass
 
     def test_tensor_invariant_size(self):
         t = Tensor(np.zeros((2, 3, 4)))

@@ -1,11 +1,15 @@
+import json
 import tracemalloc
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from style_recal.container import read_container, write_container
 from style_recal.data import SynthStyleSpec, synth_style
 from style_recal.models import ArchitectureConfig, StageSpec, build_resnet, cifar_resnet_config, named_config
+from style_recal.recalib import RecalibVariant
 from style_recal.tensor import Parameter, Tape, Tensor, cross_entropy
 from style_recal.train import (
     SGD,
@@ -14,6 +18,7 @@ from style_recal.train import (
     config_hash,
     evaluate,
     load_checkpoint,
+    load_model,
     lr_at,
     save_checkpoint,
     step_schedule,
@@ -109,6 +114,10 @@ class TestSchedule:
     def test_nonincreasing_schedule_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(schedule=[(10, 0.1), (5, 0.01)])
+
+    def test_schedule_must_start_at_step_zero(self):
+        with pytest.raises(ValueError, match=r"schedule must start at step 0, got \[100\]"):
+            TrainConfig(lr=0.5, schedule=[(100, 0.05)])
 
     def test_recipe_defaults(self):
         cfg = cifar_recipe()
@@ -341,6 +350,57 @@ class TestTrainLoop:
             train(model, data, TrainConfig(steps=50, batch_size=32, lr=0.1, seed=seed, log_every=50))
             finals.append(evaluate(model, data, batch_size=64))
         assert sorted(finals)[1] > 0.9, finals
+
+
+# Configs whose architecture a checkpoint's meta must give back as written.
+META_ARCHS = {
+    **{f"{arch}-{recalib}": named_config(arch, recalib)
+       for arch in ("resnet20", "resnet50") for recalib in ("none", "srm", "se", "se:8")},
+    "mlp-bn-avg-std-max": ArchitectureConfig(
+        stages=[StageSpec(1, 8, 1), StageSpec(1, 16, 2)], num_classes=4, in_channels=1, stem_channels=4,
+        recalib=RecalibVariant(pooling=("avg", "std", "max"), integration="mlp", use_bn=True, se_reduction=2)),
+    "cfc-max-nobn": ArchitectureConfig(
+        stages=[StageSpec(1, 8, 1), StageSpec(1, 16, 2)], num_classes=4,
+        recalib=RecalibVariant(pooling=("max",), integration="cfc", use_bn=False)),
+}
+
+
+class TestArchitectureInMeta:
+    @pytest.mark.parametrize("name", sorted(META_ARCHS))
+    def test_meta_records_the_architecture(self, tmp_path, name):
+        cfg = META_ARCHS[name]
+        stateless = SimpleNamespace(config=cfg, named_parameters=lambda: [], named_buffers=lambda: [])
+        save_checkpoint(tmp_path / "c.bin", stateless, None, 0, "h")
+        _, meta = read_container(tmp_path / "c.bin")
+        assert meta["arch"] == json.loads(json.dumps(asdict(cfg)))
+        assert ArchitectureConfig.from_dict(meta["arch"]) == cfg
+
+    @pytest.mark.parametrize("name", ["mlp-bn-avg-std-max", "cfc-max-nobn"])
+    def test_save_load_model_save_is_bitwise(self, tmp_path, name):
+        model = build_resnet(META_ARCHS[name], seed=3)
+        save_checkpoint(tmp_path / "a.bin", model, None, 7, "h")
+        loaded = load_model(tmp_path / "a.bin")
+        assert loaded.config == model.config
+        save_checkpoint(tmp_path / "b.bin", loaded, None, 7, "h")
+        assert (tmp_path / "b.bin").read_bytes() == (tmp_path / "a.bin").read_bytes()
+
+    def test_load_model_ignores_optimizer_entries(self, tmp_path):
+        model = build_resnet(tiny_cfg(), seed=0)
+        result = train(model, tiny_data(), TrainConfig(steps=2, batch_size=8, lr=0.05, seed=0, log_every=2),
+                       out_dir=tmp_path)
+        loaded = load_model(result.checkpoint_path)
+        for (name, p), (_, q) in zip(model.named_parameters(), loaded.named_parameters()):
+            np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+
+    def test_checkpoint_without_arch_names_the_file(self, tmp_path):
+        model = build_resnet(tiny_cfg(), seed=0)
+        entries = {"param." + n: p.data for n, p in model.named_parameters()}
+        entries.update({"buffer." + n: b for n, b in model.named_buffers()})
+        old = tmp_path / "old.bin"
+        write_container(old, entries, meta={"kind": "checkpoint", "step": 0, "config_hash": "h"})
+        with pytest.raises(ValueError, match=f"{old}: checkpoint meta records no architecture"):
+            load_model(old)
+        assert load_checkpoint(old, build_resnet(tiny_cfg(), seed=1)) == 0  # a model built by hand still loads
 
 
 # Digests written by earlier builds into checkpoints and manifests; a change
