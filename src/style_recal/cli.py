@@ -3,6 +3,7 @@
 Subcommands: train, eval, prune, analyze, complexity, gradcheck, synth.
 Configuration comes from JSON files with flags overriding file values; every
 run writes its fully resolved configuration (a manifest) next to its outputs.
+eval, prune and analyze build the model from the architecture the checkpoint records.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
