@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     length.add_argument("--steps", type=int, default=None)
     length.add_argument("--epochs", type=int, default=None)
     rate = p.add_mutually_exclusive_group()
-    rate.add_argument("--lr", type=float, default=0.1)
+    rate.add_argument("--lr", type=float, default=None, help="constant learning rate (default 0.1)")
     rate.add_argument("--schedule", default=None, help="comma list of step:lr from step 0, e.g. 0:0.2,32000:0.02")
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--weight-decay", type=float, default=1e-4)

@@ -18,6 +18,7 @@ from .tensor import (
     Parameter,
     ShapeError,
     Tensor,
+    _active_tape,
     batch_norm_train,
     conv2d,
     get_default_dtype,
@@ -25,12 +26,14 @@ from .tensor import (
     maxpool2d,
     style_pool,
 )
+from .tensor import relu as relu_op
 
 __all__ = [
     "Module",
     "ModuleList",
     "Conv2d",
     "BatchNorm",
+    "conv_bn",
     "Linear",
     "MaxPool2d",
     "global_pool",
@@ -195,11 +198,31 @@ class BatchNorm(Module):
             self.num_batches[...] += 1
             return out
 
-        inv = 1.0 / np.sqrt(self.running_var + self.eps)
-        scale = self.gamma.data * inv
-        shift = self.beta.data - self.running_mean * scale
+        scale, shift = self.eval_affine()
         s = (1, self.channels) + (1,) * (x.ndim - 2)
         return x * Tensor(scale.reshape(s)) + Tensor(shift.reshape(s))
+
+    def eval_affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-channel (scale, shift) of the eval-mode forward, ``x * scale + shift``."""
+        inv = 1.0 / np.sqrt(self.running_var + self.eps)
+        scale = self.gamma.data * inv
+        return scale, self.beta.data - self.running_mean * scale
+
+
+def conv_bn(conv: Conv2d, bn: BatchNorm, x: Tensor, relu: bool = False) -> Tensor:
+    """``bn(conv(x))``, then a ReLU with ``relu``.
+
+    In eval mode with no active Tape this is one ``conv2d`` call whose
+    epilogue applies BN's eval affine and the ReLU to each conv slice before
+    its store: the same float ops, so the same values, in fewer passes over
+    the output. In train mode, or under a Tape, the modules run as separate
+    ops, so BN updates its statistics and the tape records a backward.
+    """
+    if bn.training or _active_tape() is not None:
+        h = bn(conv(x))
+        return relu_op(h) if relu else h
+    scale, shift = bn.eval_affine()
+    return conv2d(x, conv.weight, conv.stride, conv.padding, scale=scale, shift=shift, relu=relu)
 
 
 class Linear(Module):

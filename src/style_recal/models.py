@@ -13,12 +13,12 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .layers import BatchNorm, Conv2d, Linear, MaxPool2d, Module, ModuleList, global_pool
+from .layers import BatchNorm, Conv2d, Linear, MaxPool2d, Module, ModuleList, conv_bn, global_pool
 from .recalib import ChannelRecalib, RecalibVariant
 from .tensor import Tensor, relu
 
@@ -163,15 +163,14 @@ class ResidualBlock(Module):
 
     def branch(self, x: Tensor) -> Tensor:
         h = x
-        for conv, bn in self.pairs[:-1]:
-            h = relu(bn(conv(h)))
-        conv, bn = self.pairs[-1]
-        return bn(conv(h))
+        for i, (conv, bn) in enumerate(self.pairs, start=1):
+            h = conv_bn(conv, bn, h, relu=i < len(self.pairs))
+        return h
 
     def shortcut(self, x: Tensor) -> Tensor:
         if self.proj_conv is None:
             return x
-        return self.proj_bn(self.proj_conv(x))
+        return conv_bn(self.proj_conv, self.proj_bn, x)
 
     def forward(self, x: Tensor, gate_cb=None) -> Tensor:
         b = self.branch(x)
@@ -224,7 +223,7 @@ class ResNet(Module):
         self.classifier = Linear(in_ch, config.num_classes, rng=rng)
 
     def stem(self, x: Tensor) -> Tensor:
-        h = relu(self.stem_bn(self.stem_conv(x)))
+        h = conv_bn(self.stem_conv, self.stem_bn, x, relu=True)
         if self.stem_pool is not None:
             h = self.stem_pool(h)
         return h
@@ -251,12 +250,18 @@ class ResNet(Module):
         return out
 
     def fold_bn(self) -> int:
-        """Fold every foldable recalibration BN; returns the number folded."""
+        """Fold every foldable recalibration BN; returns the number folded.
+
+        Once layers fold, ``config`` names the BN-free variant they now have,
+        so a checkpoint of the folded model restores with ``load_model``.
+        """
         folded = 0
         for _, _, layer in self.recalib_layers():
             if layer.can_fold:
                 layer.fold()
                 folded += 1
+        if folded:
+            self.config = replace(self.config, recalib=replace(self.config.recalib, use_bn=False))
         return folded
 
     @property

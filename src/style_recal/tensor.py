@@ -380,7 +380,9 @@ def style_pool(x: Tensor, kinds) -> Tensor:
     not cancel in float32 when |mean| >> std; max the spatial maximum. The
     backward is written out: avg contributes g/HW, std (x - mu) g / (HW sigma)
     (the centred values sum to zero, so mu's own dependence on x drops out),
-    and max routes g to the first attaining element.
+    and max routes g to the first attaining element. The backward recomputes
+    the centred values (the same op, so the same values) rather than keeping
+    a map-sized copy alive from the forward to the backward.
     """
     x = _as_tensor(x)
     if x.ndim != 4:
@@ -411,7 +413,8 @@ def style_pool(x: Tensor, kinds) -> Tensor:
         if squeeze:
             g = g[..., None]
         if "std" in col:
-            gx = xc * (g[..., col["std"]] / (m * sigma))[..., None]
+            gx = x3 - mu[..., None]
+            gx *= (g[..., col["std"]] / (m * sigma))[..., None]
             if "avg" in col:
                 gx += (g[..., col["avg"]] / m)[..., None]
         elif "avg" in col:
@@ -449,11 +452,16 @@ _PATCH_BYTES = 1 << 20
 def _im2col(x: np.ndarray, k: int, stride: int, padding: int, scratch: dict | None = None):
     """Lower NCHW patches to a (C*k*k, N*Ho*Wo) matrix for a single gemm.
 
-    Shift first: at stride 1 the k column-shifted, zero-padded copies
-    ``xs[n, j, c, y, :] = xpad[n, c, y, j : j + wo]`` are made once, and one
-    copy from a strided view of ``xs`` writes every patch row as a single
-    contiguous run of ``ho*wo`` values per image. A strided conv, whose runs
-    are ``wo`` long either way, reads its taps from one padded copy instead.
+    The taps are read from one zero-padded copy of each image plane, kept
+    flat. A stride-1 conv whose output is as wide as its input (``2*padding
+    == k - 1``, every 3x3/pad-1 conv) pads rows only, by ``lead = padding*w +
+    padding`` values before and after the plane: tap (i, j) of every output
+    pixel is then the flat offset ``i*w + j``, so one copy writes each patch
+    row as a single contiguous run of ``h*w`` values per image. Those runs
+    wrap across rows, and the ``|j - padding|`` columns of tap j that fall
+    outside the input are zeroed after the copy. Every other conv pads every
+    row too, and reads its taps in runs ``wo`` long. Without padding the
+    input itself is the copy.
 
     The slices of one batch share a ``scratch`` dict: the padded buffer, whose
     zero border is then written once, and the patch matrix, which each call
@@ -463,30 +471,32 @@ def _im2col(x: np.ndarray, k: int, stride: int, padding: int, scratch: dict | No
     hp, wp = h + 2 * padding, w + 2 * padding
     ho = (hp - k) // stride + 1
     wo = (wp - k) // stride + 1
-    shifts, width = (k, wo) if stride == 1 else (1, wp)
+    flat = stride == 1 and 2 * padding == k - 1
+    row = w if flat else wp  # values per row of the padded copy
+    lead = padding * row + padding  # values before the first input value
     scratch = {} if scratch is None else scratch
     if scratch.get("n", 0) < n:
-        padded = padding or shifts > 1
-        scratch.update(n=n, xs=np.zeros((n, shifts, c, hp, width), dtype=x.dtype) if padded else None,
+        scratch.update(n=n, xp=np.zeros((n, c, hp * row + 2 * padding), dtype=x.dtype) if padding else None,
                        cols=np.empty(c * k * k * n * ho * wo, dtype=x.dtype))
-    if scratch["xs"] is None:
-        xs = np.ascontiguousarray(x)[:, None]  # no padding and no shift: the input is the copy
+    if scratch["xp"] is None:
+        xp = np.ascontiguousarray(x).reshape(n, c, h * w)  # no padding: the input is the copy
     else:
-        xs = scratch["xs"][:n]
-        for j in range(shifts):
-            # Columns lo..hi-1 of copy j hold input columns j + col - padding, those inside [0, w).
-            lo, hi = max(0, padding - j), min(width, w + padding - j)
-            if lo < hi:
-                xs[:, j, :, padding : padding + h, lo:hi] = x[:, :, :, j + lo - padding : j + hi - padding]
-    sn, sj, sc, sy, sx = xs.strides
-    taps = np.ndarray((c, k, k, n, ho, wo), xs.dtype, xs, 0,
-                      (sc, sy, sj if stride == 1 else sx, sn, stride * sy, stride * sx))
+        xp = scratch["xp"][:n]
+        xp[:, :, lead : lead + h * row].reshape(n, c, h, row)[..., :w] = x
+    sn, sc, sx = xp.strides
     cols = scratch["cols"][: c * k * k * n * ho * wo].reshape(c, k, k, n, ho, wo)
-    np.copyto(cols, taps)
+    np.copyto(cols, np.ndarray((c, k, k, n, ho, wo), xp.dtype, xp, 0,
+                               (sc, row * sx, sx, sn, stride * row * sx, stride * sx)))
+    for j in range(k) if flat else ():
+        if j < padding:
+            cols[:, :, j, :, :, : padding - j] = 0
+        elif j > padding:
+            cols[:, :, j, :, :, w + padding - j :] = 0
     return cols.reshape(c * k * k, n * ho * wo)
 
 
-def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0, *,
+           scale: np.ndarray | None = None, shift: np.ndarray | None = None, relu: bool = False) -> Tensor:
     """2-D cross-correlation of an NCHW input with an OIkk weight, no bias.
 
     Lowered to patch-matrix (im2col) multiplies, a slice of the batch at a
@@ -495,6 +505,15 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     gemm result is stored straight into the NCHW output. A conv whose whole
     patch matrix fits in the budget is one slice. The backward walks the
     slices last-to-first, and the weight gradient sums the per-slice terms.
+
+    An inference epilogue may be given: per-output-channel ``scale`` and
+    ``shift`` arrays, applied as ``y * scale + shift``, then ``fmax(y, 0)``
+    with ``relu``. It runs on each slice's (cout, pixels) gemm result while
+    that is in cache, before the transposing store, and its float ops are
+    those of eval-mode batch norm's ``mul`` and ``add`` and of ``relu``, in
+    that order, so the output is bit-identical to the separate ops. It has no
+    backward: under an active Tape with an input that requires a gradient,
+    an epilogue raises.
 
     Which operand the backward lowers depends on the conv's geometry alone,
     never on whether the input requires a gradient, so the weight gradient is
@@ -527,6 +546,10 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
         )
     if stride < 1 or padding < 0:
         raise ShapeError(f"conv2d: invalid stride={stride} padding={padding}")
+    epilogue = scale is not None or shift is not None or relu
+    if epilogue and _active_tape() is not None and (x.requires_grad or weight.requires_grad):
+        raise RuntimeError("conv2d: the scale/shift/relu epilogue has no backward; "
+                           "apply batch norm and relu as separate ops under a Tape")
     n, _, h, w = x.shape
     cout, cin, k, _ = weight.shape
     if h + 2 * padding < k or w + 2 * padding < k:
@@ -544,7 +567,14 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     scratch = {}
     for a, b in spans:
         cols = _im2col(x.data[a:b], k, stride, padding, scratch)
-        out[a:b] = (w2 @ cols).reshape(cout, b - a, ho, wo).transpose(1, 0, 2, 3)
+        y = w2 @ cols
+        if scale is not None:
+            y *= scale[:, None]
+        if shift is not None:
+            y += shift[:, None]
+        if relu:
+            np.fmax(y, 0, out=y)
+        out[a:b] = y.reshape(cout, b - a, ho, wo).transpose(1, 0, 2, 3)
     lower_g = stride == 1 and padding <= k - 1 and cout <= cin
 
     def backward(g):

@@ -46,7 +46,7 @@ _AUG_TAG = 102
 class TrainConfig:
     steps: int = 500
     batch_size: int = 32
-    lr: float = 0.1
+    lr: float | None = None  # the schedule's first rate; 0.1 without a schedule
     momentum: float = 0.9
     weight_decay: float = 1e-4
     schedule: list[tuple[int, float]] | None = None  # (step, lr) from step 0, strictly increasing
@@ -60,13 +60,17 @@ class TrainConfig:
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.schedule is None:
-            self.schedule = [(0, self.lr)]
+            self.schedule = [(0, 0.1 if self.lr is None else self.lr)]
         self.schedule = [(int(s), float(v)) for s, v in self.schedule]
         steps = [s for s, _ in self.schedule]
         if steps != sorted(set(steps)):
             raise ValueError(f"schedule steps must be strictly increasing, got {steps}")
         if steps[0] != 0:
             raise ValueError(f"schedule must start at step 0, got {steps}")
+        first = self.schedule[0][1]
+        if self.lr is not None and self.lr != first:
+            raise ValueError(f"lr {self.lr} disagrees with the schedule's first rate {first}")
+        self.lr = first
         if any(v <= 0 for _, v in self.schedule):
             raise ValueError(f"schedule learning rates must be positive, got {[v for _, v in self.schedule]}")
         if self.eval_every % self.log_every != 0:

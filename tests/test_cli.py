@@ -282,6 +282,15 @@ class TestTrainUsageErrors:
         assert not out.exists()
 
 
+    def test_schedule_run_records_its_first_rate(self, synth_dir, tmp_path_factory, tmp_path):
+        out = tmp_path / "run"
+        rc = main(["train", "--arch", _tiny_arch_file(tmp_path_factory), "--data", str(synth_dir / "train.bin"),
+                   "--out", str(out), "--steps", "2", "--batch", "8", "--log-every", "2", "--schedule", "0:0.05"])
+        assert rc == 0
+        resolved = json.loads((out / "manifest.json").read_text())["resolved_config"]
+        assert resolved["train"]["lr"] == 0.05 and resolved["train"]["schedule"] == [[0, 0.05]]
+
+
 class TestTrainEvalPipeline:
     def test_train_outputs(self, trained_run):
         assert (trained_run / "metrics.csv").exists()

@@ -5,8 +5,11 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from style_recal import layers
+from style_recal import tensor as T
 from style_recal.analysis import capture_record
 from style_recal.data import Dataset
+from style_recal.layers import BatchNorm, global_pool
 from style_recal.models import (
     ArchitectureConfig,
     StageSpec,
@@ -272,3 +275,103 @@ def test_stem_conv_computes_no_image_gradient():
     assert grads.keys() == grads_with_image.keys()
     for name, g in grads.items():
         np.testing.assert_array_equal(g, grads_with_image[name], err_msg=name)
+
+
+def op_by_op_forward(model, x: Tensor) -> Tensor:
+    """The model's forward with every (conv, BN) pair run as separate ops: conv, BN's own forward, relu."""
+    def pair(conv, bn, h, with_relu):
+        h = bn(conv(h))
+        return relu(h) if with_relu else h
+
+    h = pair(model.stem_conv, model.stem_bn, x, True)
+    if model.stem_pool is not None:
+        h = model.stem_pool(h)
+    for stage in model.stages:
+        for block in stage:
+            b = h
+            for i, (conv, bn) in enumerate(block.pairs, start=1):
+                b = pair(conv, bn, b, i < len(block.pairs))
+            if block.recalib is not None:
+                b = block.recalib(b)
+            shortcut = h if block.proj_conv is None else pair(block.proj_conv, block.proj_bn, h, False)
+            h = relu(b + shortcut)
+    return model.classifier(global_pool(h, "avg"))
+
+
+def randomize_bn(model, seed: int) -> None:
+    """Running statistics and affine far from their initial values, as after training."""
+    rng = np.random.default_rng(seed)
+    for m in model.modules():
+        if isinstance(m, BatchNorm):
+            m.running_mean[...] = rng.normal(0.0, 0.5, m.channels)
+            m.running_var[...] = rng.uniform(0.3, 3.0, m.channels)
+            m.gamma.data[...] = rng.normal(1.0, 0.5, m.channels)
+            m.beta.data[...] = rng.normal(0.0, 0.5, m.channels)
+            m.num_batches[...] = 1
+
+
+def bottleneck_cfg():
+    return ArchitectureConfig(stages=[StageSpec(1, 16, 1), StageSpec(2, 32, 2)], block_kind="bottleneck",
+                              recalib=parse_recalib("srm"), num_classes=5, stem="imagenet", stem_channels=8)
+
+
+class TestFusedEvalForward:
+    """In eval mode each (conv, BN[, ReLU]) runs as one conv2d with an epilogue; values stay those of the ops."""
+
+    CASES = [(cifar_resnet_config(20, r), 16) for r in ("none", "srm", "se:8")] + [(bottleneck_cfg(), 40)]
+
+    @pytest.mark.parametrize("cfg,size", CASES, ids=["resnet20", "resnet20-srm", "resnet20-se8", "bottleneck"])
+    @pytest.mark.parametrize("sliced", [False, True], ids=["whole", "sliced"])
+    def test_logits_equal_op_by_op_oracle(self, monkeypatch, cfg, size, sliced):
+        model = build_resnet(cfg, seed=3)
+        randomize_bn(model, 4)
+        model.eval()
+        x = Tensor(np.random.default_rng(5).normal(size=(6, 3, size, size)).astype(np.float32))
+        if sliced:  # one image's stem patches: every conv lowers the batch an image at a time
+            monkeypatch.setattr(T, "_PATCH_BYTES", 27 * size * size * 4)
+        want = op_by_op_forward(model, x).data
+        calls = []
+        conv2d = T.conv2d
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("scale") is not None)
+            return conv2d(*args, **kwargs)
+
+        monkeypatch.setattr(layers, "conv2d", counting)
+        got = model(x).data
+        assert calls and all(calls)  # every conv went through the epilogue
+        np.testing.assert_array_equal(got, want)
+
+    def test_logits_do_not_depend_on_eval_batch(self):
+        model = build_resnet(cifar_resnet_config(20, "srm"), seed=6)
+        randomize_bn(model, 7)
+        images = np.random.default_rng(8).normal(size=(256, 3, 16, 16)).astype(np.float32)
+        model.eval()
+        whole = model(Tensor(images)).data
+        parts = np.concatenate([model(Tensor(images[i : i + 32])).data for i in range(0, 256, 32)])
+        np.testing.assert_array_equal(whole, parts)
+
+    @pytest.mark.parametrize("recalib", ["none", "srm"])
+    def test_eval_forward_under_tape_records_separate_ops(self, recalib):
+        model = build_resnet(cifar_resnet_config(20, recalib), seed=9)
+        randomize_bn(model, 10)
+        model.eval()
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.normal(size=(4, 3, 16, 16)).astype(np.float32))
+        labels = rng.integers(0, 10, size=4)
+        runs = []
+        for forward in (model, lambda t: op_by_op_forward(model, t)):
+            for p in model.parameters():
+                p.grad = None
+            with Tape() as tape:
+                loss = cross_entropy(forward(x), labels)
+            records = len(tape)
+            tape.backward(loss)
+            # Eval-mode BN treats its affine as constant, so gamma and beta get no gradient.
+            runs.append((records, loss.data, {n: p.grad for n, p in model.named_parameters() if p.grad is not None}))
+        (records, loss, grads), (want_records, want_loss, want_grads) = runs
+        assert records == want_records
+        np.testing.assert_array_equal(loss, want_loss)
+        assert grads.keys() == want_grads.keys() and "stem_conv.weight" in grads
+        for name, g in want_grads.items():
+            np.testing.assert_array_equal(grads[name], g, err_msg=name)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -196,6 +197,25 @@ class TestChannelRecalib:
         x = Tensor(np.random.default_rng(2).normal(size=(2, 3, 4, 4)).astype(np.float32))
         with Tape(), pytest.raises(RuntimeError, match="gate_cb"):
             layer(x, gate_cb=lambda g: g * 0.5)
+
+    def test_forward_under_tape_holds_about_one_map(self):
+        """Besides its input, a recorded SRM forward keeps its output and small per-channel arrays only.
+
+        The input's buffer is already held by the channel scaling; style
+        pooling's backward recomputes the centred map instead of keeping it,
+        which had made the layer hold two maps.
+        """
+        layer = ChannelRecalib(16, RecalibVariant.srm(), rng=np.random.default_rng(0))
+        x = Tensor(np.random.default_rng(3).normal(size=(16, 16, 32, 32)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = layer(x)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(tape) and out.shape == x.shape
+        assert held < 1.5 * x.data.nbytes, f"{held / x.data.nbytes:.2f} maps held"
 
     def test_srm_layer_is_six_tape_records(self):
         layer = ChannelRecalib(3, RecalibVariant.srm(), rng=np.random.default_rng(0))

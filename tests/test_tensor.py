@@ -179,6 +179,46 @@ class TestConv2d:
         assert gw.shape == w.shape
 
 
+class TestConvEpilogue:
+    """conv2d's scale/shift/relu epilogue against the separate ops it replaces."""
+
+    @staticmethod
+    def _operands(seed, cin=4, cout=6, k=3, size=7):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(5, cin, size, size)).astype(np.float32)
+        w = rng.normal(size=(cout, cin, k, k)).astype(np.float32)
+        scale = rng.normal(size=cout).astype(np.float32)
+        shift = rng.normal(size=cout).astype(np.float32)
+        return x, w, scale, shift
+
+    @pytest.mark.parametrize("k,stride,padding", CONV_CASES)
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("images", [5, 2])
+    def test_equals_mul_add_relu(self, monkeypatch, k, stride, padding, relu, images):
+        x, w, scale, shift = self._operands(k * 10 + stride + padding)
+        ho = (7 + 2 * padding - k) // stride + 1
+        wo = (7 + 2 * padding - k) // stride + 1
+        monkeypatch.setattr(T, "_PATCH_BYTES", images * 4 * k * k * ho * wo * 4)  # images 2: slices of 1, 2, 2
+        y = T.conv2d(Tensor(x), Tensor(w), stride, padding)
+        want = T.add(T.mul(y, Tensor(scale.reshape(1, -1, 1, 1))), Tensor(shift.reshape(1, -1, 1, 1)))
+        want = T.relu(want) if relu else want
+        got = T.conv2d(Tensor(x), Tensor(w), stride, padding, scale=scale, shift=shift, relu=relu)
+        np.testing.assert_array_equal(got.data, want.data)
+
+    def test_raises_under_tape_when_an_input_needs_a_gradient(self):
+        x, w, scale, shift = self._operands(0)
+        for x_grad, w_grad in ((True, False), (False, True)):
+            xt, wt = Tensor(x, requires_grad=x_grad), Tensor(w, requires_grad=w_grad)
+            with Tape(), pytest.raises(RuntimeError, match="no backward"):
+                T.conv2d(xt, wt, 1, 1, scale=scale, shift=shift)
+            with Tape(), pytest.raises(RuntimeError, match="no backward"):
+                T.conv2d(xt, wt, 1, 1, relu=True)
+        with Tape() as tape:  # nothing to differentiate: nothing recorded
+            T.conv2d(Tensor(x), Tensor(w), 1, 1, scale=scale, shift=shift, relu=True)
+        assert len(tape) == 0
+        T.conv2d(Tensor(x), Tensor(w, requires_grad=True), 1, 1, scale=scale, shift=shift)  # no tape
+
+
 class TestSlicedConv2d:
     """conv2d with ``_PATCH_BYTES`` shrunk so that a batch of 5 lowers as slices of 1, 2 and 2 images.
 

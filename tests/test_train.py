@@ -119,6 +119,13 @@ class TestSchedule:
         with pytest.raises(ValueError, match=r"schedule must start at step 0, got \[100\]"):
             TrainConfig(lr=0.5, schedule=[(100, 0.05)])
 
+    def test_lr_is_the_schedules_first_rate(self):
+        assert TrainConfig(schedule=[(0, 0.05), (10, 0.005)]).lr == 0.05
+        assert TrainConfig(lr=0.05, schedule=[(0, 0.05)]).lr == 0.05
+        assert TrainConfig().lr == 0.1 and TrainConfig().schedule == [(0, 0.1)]
+        with pytest.raises(ValueError, match=r"lr 0.1 disagrees with the schedule's first rate 0.05"):
+            TrainConfig(lr=0.1, schedule=[(0, 0.05)])
+
     def test_recipe_defaults(self):
         cfg = cifar_recipe()
         assert cfg.steps == 64000 and cfg.batch_size == 128
@@ -391,6 +398,17 @@ class TestArchitectureInMeta:
         loaded = load_model(result.checkpoint_path)
         for (name, p), (_, q) in zip(model.named_parameters(), loaded.named_parameters()):
             np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+
+    def test_folded_checkpoint_loads_with_its_logits(self, tmp_path):
+        model = build_resnet(tiny_cfg(), seed=0)
+        train(model, tiny_data(), TrainConfig(steps=2, batch_size=8, lr=0.05, seed=0, log_every=2), out_dir=tmp_path)
+        model.eval()
+        assert model.fold_bn() == len(model.recalib_layers())
+        assert model.config.recalib == RecalibVariant(pooling=("avg", "std"), use_bn=False)
+        save_checkpoint(tmp_path / "folded.bin", model, None, 2, "h")
+        loaded = load_model(tmp_path / "folded.bin").eval()
+        images = Tensor(tiny_data(seed=1).images[:16])
+        np.testing.assert_array_equal(loaded(images).data, model(images).data)
 
     def test_checkpoint_without_arch_names_the_file(self, tmp_path):
         model = build_resnet(tiny_cfg(), seed=0)
