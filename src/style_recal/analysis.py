@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .container import read_container, write_container
-from .data import Dataset, iterate_batches
+from .data import Dataset
 from .models import ResNet
-from .tensor import Tensor
+from .train import evaluate
 
 __all__ = [
     "AnalysisRecord",
@@ -67,8 +67,7 @@ def capture_record(model: ResNet, dataset: Dataset, batch_size: int = 256) -> An
         chunks.setdefault((stage_idx, block_idx), []).append(g.copy())
         return g
 
-    for images, _ in iterate_batches(dataset, batch_size):
-        model(Tensor(images), gate_transform=record)
+    evaluate(model, dataset, batch_size, gate_transform=record)
     gates = {key: np.concatenate(parts) for key, parts in chunks.items()}
     return AnalysisRecord(gates=gates, image_ids=np.arange(len(dataset), dtype=np.int64))
 
@@ -105,12 +104,7 @@ def prune_eval(model: ResNet, dataset: Dataset, stage: int, ratio: float,
     if stage not in stages_with_recalib:
         raise ValueError(f"stage {stage} has no recalibration layers (recalibrated stages: {sorted(stages_with_recalib)})")
     model.eval()
-    transform = prune_gate_transform(stage, ratio)
-    correct = 0
-    for images, labels in iterate_batches(dataset, batch_size):
-        logits = model(Tensor(images), gate_transform=transform)
-        correct += int((logits.data.argmax(axis=1) == labels).sum())
-    return correct / len(dataset)
+    return evaluate(model, dataset, batch_size, gate_transform=prune_gate_transform(stage, ratio))
 
 
 def correlation_matrix(record: AnalysisRecord, layer: tuple[int, int]) -> np.ndarray:

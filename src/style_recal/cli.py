@@ -30,7 +30,7 @@ from .data import (
     synth_style,
 )
 from .gradcheck import SUITE_TOLERANCE, run_suite
-from .models import ArchitectureConfig, build_resnet, named_config, parse_recalib
+from .models import ArchitectureConfig, ResNet, build_resnet, named_config, parse_recalib
 from .train import TrainConfig, config_hash, evaluate, load_model, train
 
 __all__ = ["main", "entry"]
@@ -135,21 +135,26 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _restore_model(args):
+def _restore_model(args) -> tuple[ResNet, Dataset]:
+    """The checkpoint's model in eval mode, folded with --fold-bn, and the dataset (a container's split wins)."""
+    if args.batch < 1:
+        raise UsageError(f"--batch must be >= 1, got {args.batch}")
     if not Path(args.ckpt).exists():
         raise UsageError(f"checkpoint {args.ckpt} does not exist")
+    dataset = _load_data(args.data, args.split or "test")
+    if args.split not in (None, dataset.split):
+        raise UsageError(f"--split {args.split} disagrees with the dataset's recorded split {dataset.split}")
     model = load_model(args.ckpt)
     model.eval()
-    return model
+    if getattr(args, "fold_bn", False):
+        model.fold_bn()
+    return model, dataset
 
 
 def _cmd_eval(args) -> int:
-    model = _restore_model(args)
-    dataset = _load_data(args.data, args.split)
-    if args.fold_bn:
-        model.fold_bn()
+    model, dataset = _restore_model(args)
     acc = evaluate(model, dataset, batch_size=args.batch)
-    payload = {"top1": acc, "examples": len(dataset), "split": args.split}
+    payload = {"top1": acc, "examples": len(dataset), "split": dataset.split}
     print(json.dumps(payload))
     if args.out:
         out = Path(args.out)
@@ -162,11 +167,10 @@ def _cmd_prune(args) -> int:
     ratios = _float_list("--ratios", args.ratios)
     if not ratios or not all(0.0 <= r <= 1.0 for r in ratios):
         raise UsageError(f"--ratios {args.ratios!r}: need one or more ratios in [0, 1]")
-    model = _restore_model(args)
+    model, dataset = _restore_model(args)
     stages = sorted({si for si, _, _ in model.recalib_layers()})
     if args.stage not in stages:
         raise UsageError(f"--stage {args.stage} has no recalibration layers (recalibrated stages: {stages})")
-    dataset = _load_data(args.data, args.split)
     rows = [(r, prune_eval(model, dataset, args.stage, r, batch_size=args.batch)) for r in ratios]
     out = Path(args.out)
     _write_manifest(out, "prune", {"arch": asdict(model.config), "ckpt": args.ckpt,
@@ -183,10 +187,7 @@ def _cmd_prune(args) -> int:
 def _cmd_analyze(args) -> int:
     if args.top_k < 1:
         raise UsageError(f"--top-k must be >= 1, got {args.top_k}")
-    model = _restore_model(args)
-    dataset = _load_data(args.data, args.split)
-    if args.fold_bn:
-        model.fold_bn()
+    model, dataset = _restore_model(args)
     record = capture_record(model, dataset, batch_size=args.batch)
     out = Path(args.out)
     _write_manifest(out, "analyze", {"arch": asdict(model.config), "ckpt": args.ckpt})
@@ -220,8 +221,9 @@ def _cmd_analyze(args) -> int:
 def _cmd_complexity(args) -> int:
     arch = _load_arch(args.arch, args.recalib)
     model = build_resnet(arch, seed=0)
-    default_size = 32 if arch.stem == "cifar" else 224
-    size = args.input_size or default_size
+    size = args.input_size if args.input_size is not None else 32 if arch.stem == "cifar" else 224
+    if size < 1:
+        raise UsageError(f"--input-size must be >= 1, got {size}")
     report = complexity_analyze(model, input_shape=(arch.in_channels, size, size),
                                 include_running_stats=args.running_stats)
     print(report.to_json())
@@ -294,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     def checkpoint(p):
         data(p)
         p.add_argument("--ckpt", required=True, help="checkpoint; the model is built from the architecture it records")
-        p.add_argument("--split", choices=["train", "test"], default="test")
+        p.add_argument("--split", choices=["train", "test"], default=None,
+                       help="split of a binary-batch directory (default test); a container records its own")
 
     def command(name, func, help, *groups):
         p = sub.add_parser(name, help=help)

@@ -129,6 +129,8 @@ def count_flops(model: ResNet, input_shape: tuple[int, int, int]) -> ComplexityR
     cfg = model.config
     if cin != cfg.in_channels:
         raise ValueError(f"input shape {input_shape} does not match model input channels {cfg.in_channels}")
+    if h < 1 or w < 1:
+        raise ValueError(f"input shape {input_shape} has a non-positive spatial extent")
     rows: list[dict] = []
     total = 0
 

@@ -141,7 +141,7 @@ class SynthStyleSpec:
             raise DataError("synth spec: need one (mean, std) target per class")
         if min(self.class_stds) - self.jitter <= 0:
             raise DataError("synth spec: std targets must stay positive under jitter")
-        targets = np.stack([self.class_means, self.class_stds], axis=1)
+        targets = synth_class_targets(self)
         for i in range(self.num_classes):
             for j in range(i + 1, self.num_classes):
                 gap = float(np.linalg.norm(targets[i] - targets[j]))
@@ -240,6 +240,8 @@ def resolve_data_path(explicit: str | None) -> str:
 
 
 def iterate_batches(dataset: Dataset, batch_size: int):
-    """Yield (images, labels) batches in dataset order, as views of its arrays."""
-    for start in range(0, len(dataset), batch_size):
-        yield dataset.images[start : start + batch_size], dataset.labels[start : start + batch_size]
+    """(images, labels) batches in dataset order, as views of its arrays."""
+    if batch_size < 1:
+        raise ValueError(f"batch size must be >= 1, got {batch_size}")
+    return ((dataset.images[start : start + batch_size], dataset.labels[start : start + batch_size])
+            for start in range(0, len(dataset), batch_size))

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .layers import BatchNorm, Conv2d, Linear, MaxPool2d, Module, ModuleList, conv_bn, global_pool
-from .recalib import ChannelRecalib, RecalibVariant
+from .recalib import ChannelRecalib, RecalibVariant, StyleIntegration
 from .tensor import Tensor, relu
 
 __all__ = [
@@ -250,15 +250,15 @@ class ResNet(Module):
         return out
 
     def fold_bn(self) -> int:
-        """Fold every foldable recalibration BN; returns the number folded.
+        """Fold the BN of every channel-wise recalibration layer that has one; returns the number folded.
 
         Once layers fold, ``config`` names the BN-free variant they now have,
         so a checkpoint of the folded model restores with ``load_model``.
         """
         folded = 0
         for _, _, layer in self.recalib_layers():
-            if layer.can_fold:
-                layer.fold()
+            if isinstance(layer.integrate, StyleIntegration) and layer.integrate.bn is not None:
+                layer.integrate.fold()
                 folded += 1
         if folded:
             self.config = replace(self.config, recalib=replace(self.config.recalib, use_bn=False))

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .layers import BatchNorm, Linear, Module
+from .layers import BatchNorm, Linear, Module, _rng
 from .tensor import (
     POOL_KINDS,
     Parameter,
@@ -138,20 +138,16 @@ class StyleIntegration(Module):
         super().__init__()
         self.channels = channels
         self.d = d
-        rng = rng if rng is not None else np.random.default_rng(0)
         bound = 1.0 / math.sqrt(d)
         dt = get_default_dtype()
-        self.weight = Parameter(rng.uniform(-bound, bound, size=(channels, d)).astype(dt))
+        self.weight = Parameter(_rng(rng).uniform(-bound, bound, size=(channels, d)).astype(dt))
         self.bn = BatchNorm(channels) if use_bn else None
         self.bias = None if use_bn else Parameter(np.zeros(channels, dtype=dt))
 
-    def encode(self, t: Tensor) -> Tensor:
+    def forward(self, t: Tensor) -> Tensor:
         if t.ndim != 3 or t.shape[1] != self.channels or t.shape[2] != self.d:
             raise ShapeError(f"style integration: expected (N, {self.channels}, {self.d}), got {t.shape}")
-        return tsum(t * self.weight, axis=2)
-
-    def forward(self, t: Tensor) -> Tensor:
-        z = self.encode(t)
+        z = tsum(t * self.weight, axis=2)
         return sigmoid(self.bn(z) if self.bn is not None else z + self.bias)
 
     def fold(self) -> None:
@@ -192,7 +188,7 @@ class MlpIntegration(Module):
             raise ValueError(f"mlp integration: reduction ratio must be >= 1, got {reduction}")
         self.channels = channels
         self.d = d
-        rng = rng if rng is not None else np.random.default_rng(0)
+        rng = _rng(rng)  # one stream for both maps
         hidden = max(1, (channels * d) // reduction)
         self.fc1 = Linear(channels * d, hidden, rng=rng)
         self.fc2 = Linear(hidden, channels, rng=rng)
@@ -215,7 +211,6 @@ class ChannelRecalib(Module):
                  rng: np.random.Generator | None = None):
         super().__init__()
         self.channels = channels
-        self.variant = variant
         self.pool = StylePool(variant.pooling)
         if variant.integration == "cfc":
             self.integrate = StyleIntegration(channels, variant.d, use_bn=variant.use_bn, rng=rng)
@@ -243,13 +238,3 @@ class ChannelRecalib(Module):
                                    "run gate callbacks without a Tape")
             g = Tensor(gate_cb(g.data))
         return scale_channels(x, g)
-
-    def fold(self) -> None:
-        if isinstance(self.integrate, StyleIntegration):
-            self.integrate.fold()
-        else:
-            raise FoldError("fold: only the channel-wise fully connected integration folds")
-
-    @property
-    def can_fold(self) -> bool:
-        return isinstance(self.integrate, StyleIntegration) and self.integrate.bn is not None

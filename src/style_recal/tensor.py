@@ -127,17 +127,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Parameter(Tensor):
@@ -343,16 +337,14 @@ def _norm_axes(axis, ndim: int) -> tuple[int, ...]:
     return tuple(ax % ndim for ax in axis)
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = _as_tensor(a)
     axes = _norm_axes(axis, a.ndim)
-    out = a.data.sum(axis=axes, keepdims=keepdims)
+    out = a.data.sum(axis=axes)
     shape = a.shape
 
     def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, shape),)
+        return (np.broadcast_to(np.expand_dims(g, axes), shape),)
 
     return _make(out, (a,), backward)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .container import read_container, write_container
 from .data import Dataset, augment, iterate_batches
-from .models import ArchitectureConfig, ResNet, build_resnet
+from .models import ArchitectureConfig, GateTransform, ResNet, build_resnet
 from .tensor import Tape, Tensor, cross_entropy
 
 __all__ = [
@@ -233,13 +233,14 @@ def _apply_state(model: ResNet, opt: SGD | None, entries: dict[str, np.ndarray],
         v[...] = saved[k]
 
 
-def evaluate(model: ResNet, dataset: Dataset, batch_size: int = 256) -> float:
-    """Top-1 accuracy over the full set in eval mode."""
+def evaluate(model: ResNet, dataset: Dataset, batch_size: int = 256,
+             gate_transform: GateTransform | None = None) -> float:
+    """Top-1 accuracy over the full set in eval mode; ``gate_transform`` goes to every forward."""
     was_training = model.training
     model.eval()
     correct = 0
     for images, labels in iterate_batches(dataset, batch_size):
-        logits = model(Tensor(images))
+        logits = model(Tensor(images), gate_transform=gate_transform)
         correct += int((logits.data.argmax(axis=1) == labels).sum())
     if was_training:
         model.train()

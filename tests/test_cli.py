@@ -14,7 +14,7 @@ from style_recal.cli import build_parser, main
 from style_recal.container import read_container, write_container
 from style_recal.data import load_dataset
 from style_recal.models import ArchitectureConfig, build_resnet
-from style_recal.train import evaluate, load_checkpoint
+from style_recal.train import evaluate, load_checkpoint, load_model
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +158,14 @@ class TestComplexityCommand:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["added_by_recalib"] == 90624
+
+    @pytest.mark.parametrize("size", ["0", "-8"])
+    def test_input_size_below_one_usage_error(self, tmp_path, capsys, size):
+        out = tmp_path / "out"
+        assert main(["complexity", "--arch", "resnet20", "--input-size", size, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"--input-size must be >= 1, got {size}" in captured.err and captured.out == ""
+        assert not out.exists()
 
     def test_writes_report_files(self, tmp_path, capsys):
         rc = main(["complexity", "--arch", "resnet20", "--recalib", "se:8",
@@ -353,6 +361,16 @@ class TestTrainEvalPipeline:
         assert named in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command,flags", [("eval", []), ("prune", ["--stage", "0"]), ("analyze", [])])
+    @pytest.mark.parametrize("batch", ["0", "-4"])
+    def test_batch_below_one_usage_error(self, trained_run, synth_dir, tmp_path, capsys, command, flags, batch):
+        rc = main([command, "--ckpt", str(trained_run / "checkpoint.bin"), "--data", str(synth_dir / "test.bin"),
+                   "--out", str(tmp_path), "--batch", batch] + flags)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert f"--batch must be >= 1, got {batch}" in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_analyze_outputs(self, trained_run, synth_dir, tmp_path, capsys):
         rc = main([
             "analyze",
@@ -474,3 +492,44 @@ class TestModelFromCheckpoint:
             self._run(variant_run, synth_dir, "eval", *flags)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+
+
+class TestSplit:
+    """A container's recorded split is the one used; --split chooses only within a binary-batch directory."""
+
+    def test_container_split_is_used_and_reported(self, trained_run, synth_dir, tmp_path, capsys):
+        ckpt = trained_run / "checkpoint.bin"
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(synth_dir / "train.bin"), "--out", str(tmp_path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["split"] == "train"
+        assert payload["top1"] == evaluate(load_model(ckpt), load_dataset(synth_dir / "train.bin"), batch_size=128)
+        assert json.loads((tmp_path / "eval.json").read_text()) == payload
+
+    def test_matching_split_accepted(self, trained_run, synth_dir, capsys):
+        assert main(["eval", "--ckpt", str(trained_run / "checkpoint.bin"), "--data", str(synth_dir / "test.bin"),
+                     "--split", "test"]) == 0
+        assert json.loads(capsys.readouterr().out)["split"] == "test"
+
+    @pytest.mark.parametrize("command,flags", [("eval", []), ("prune", ["--stage", "0"]), ("analyze", [])])
+    def test_split_disagreeing_with_container_usage_error(self, trained_run, synth_dir, tmp_path, capsys,
+                                                         command, flags):
+        rc = main([command, "--ckpt", str(trained_run / "checkpoint.bin"), "--data", str(synth_dir / "test.bin"),
+                   "--split", "train", "--out", str(tmp_path)] + flags)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "--split train disagrees with the dataset's recorded split test" in captured.err
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    def test_batch_directory_reads_split(self, trained_run, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        for name, count in [(f"data_batch_{i}.bin", 1) for i in range(1, 6)] + [("test_batch.bin", 3)]:
+            records = rng.integers(0, 256, size=(count, 3073), dtype=np.uint8)
+            records[:, 0] %= 4  # labels within the model's 4 classes
+            records.tofile(tmp_path / name)
+        ckpt = str(trained_run / "checkpoint.bin")
+        assert main(["eval", "--ckpt", ckpt, "--data", str(tmp_path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["split"], payload["examples"]) == ("test", 3)
+        assert main(["eval", "--ckpt", ckpt, "--data", str(tmp_path), "--split", "train"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["split"], payload["examples"]) == ("train", 5)

@@ -142,6 +142,35 @@ class TestFlops:
         with pytest.raises(ValueError):
             count_flops(model, (1, 32, 32))
 
+    @pytest.mark.parametrize("shape", [(3, 0, 0), (3, -8, -8), (3, 32, 0)])
+    def test_non_positive_extent_rejected(self, shape):
+        with pytest.raises(ValueError, match="non-positive spatial extent"):
+            count_flops(build_resnet(cifar_resnet_config(20)), shape)
+
+
+class TestFoldedModel:
+    """A folded resnet20+SRM counts as the {avg, std; cfc; no BN} variant it became."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        folded = build_resnet(cifar_resnet_config(20, recalib="srm"))
+        for _, _, layer in folded.recalib_layers():
+            layer.integrate.bn.num_batches[...] = 1  # running statistics count as populated
+        assert folded.fold_bn() == 9
+        fresh = build_resnet(cifar_resnet_config(20, recalib=RecalibVariant(pooling=("avg", "std"), use_bn=False)))
+        return folded, fresh
+
+    @pytest.mark.parametrize("include_rs", [False, True])
+    def test_params_equal_the_fresh_variant(self, models, include_rs):
+        folded, fresh = models
+        report = count_params(folded, include_rs)
+        assert report.to_dict() == count_params(fresh, include_rs).to_dict()
+        assert report.added_by_recalib == cfc_variant_extra_params(cifar_resnet_config(20).stages, d=2, use_bn=False)
+
+    def test_flops_equal_the_fresh_variant(self, models):
+        folded, fresh = models
+        assert count_flops(folded, (3, 32, 32)).to_dict() == count_flops(fresh, (3, 32, 32)).to_dict()
+
 
 class TestReport:
     def test_analyze_merges_params_and_flops(self):

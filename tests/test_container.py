@@ -153,7 +153,7 @@ def test_every_truncation_raises_container_error(valid_container):
             read_container(trunc)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_corrupted_bytes_read_or_raise_container_error(valid_container, data):
     raw = bytearray(valid_container.read_bytes())

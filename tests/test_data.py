@@ -220,6 +220,15 @@ def test_batches_are_views_in_dataset_order():
     np.testing.assert_array_equal(np.concatenate([labels for _, labels in batches]), ds.labels)
 
 
+@pytest.mark.parametrize("batch_size", [0, -4])
+def test_batch_size_below_one_rejected(batch_size):
+    from style_recal.data import iterate_batches
+
+    ds = synth_style(SynthStyleSpec(seed=0, per_class=5, size=8))
+    with pytest.raises(ValueError, match=f"batch size must be >= 1, got {batch_size}"):
+        iterate_batches(ds, batch_size)
+
+
 class TestDatasetContainer:
     def test_save_load_roundtrip(self, tmp_path):
         ds = synth_style(SynthStyleSpec(seed=0, per_class=4))

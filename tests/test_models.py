@@ -226,10 +226,21 @@ class TestIdentityLimits:
         names = [n for n, _ in model.named_parameters() if ".recalib." in n]
         assert names == [f"stages.{s}.0.recalib.integrate.{p}" for s in (0, 1) for p in ("weight", "bias")]
         assert not any(".recalib." in n for n, _ in model.named_buffers())
-        assert not any(layer.can_fold for _, _, layer in model.recalib_layers())
+        assert all(layer.integrate.bn is None for _, _, layer in model.recalib_layers())
         assert model.fold_bn() == 0
         with pytest.raises(ValueError, match=r"integrate\.bn\.gamma"):  # saved, but no longer in the model
             load_checkpoint(tmp_path / "unfolded.bin", model)
+
+    @pytest.mark.parametrize("recalib", ["se:2", '{"pooling": ["avg", "std"], "integration": "mlp", "use_bn": true}'])
+    def test_fold_leaves_mlp_integration_unchanged(self, recalib):
+        model = build_resnet(small_cfg(recalib), seed=9)
+        config = model.config
+        before = {n: p.data.copy() for n, p in model.named_parameters()}
+        assert model.fold_bn() == 0
+        after = {n: p.data for n, p in model.named_parameters()}
+        assert after.keys() == before.keys() and model.config is config
+        for name, value in before.items():
+            np.testing.assert_array_equal(after[name], value)
 
 
 # sha256 of the JSON list [arch, recalib, [[key, shape, dtype], ...]] over the

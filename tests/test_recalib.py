@@ -262,7 +262,7 @@ class TestChannelRecalib:
         assert np.abs(g0[:, others] - g1[:, others]).max() > 1e-6
 
     @given(seed=st.integers(0, 2**16))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     def test_gate_range_property(self, seed):
         rng = np.random.default_rng(seed)
         layer = ChannelRecalib(3, RecalibVariant.srm(), rng=rng)
@@ -339,11 +339,6 @@ class TestMakeVariant:
         v = RecalibVariant(pooling=("avg", "std"), integration="cfc", use_bn=False)
         layer = ChannelRecalib(4, v)
         assert layer.integrate.bn is None and layer.integrate.bias is not None
-
-    def test_mlp_fold_rejected(self):
-        layer = ChannelRecalib(4, RecalibVariant.se(2))
-        with pytest.raises(FoldError):
-            layer.fold()
 
 
 class TestBlockGradients:
