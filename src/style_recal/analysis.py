@@ -17,7 +17,7 @@ import numpy as np
 from .container import read_container, write_container
 from .data import Dataset
 from .models import ResNet
-from .train import evaluate
+from .train import eval_hits, evaluate
 
 __all__ = [
     "AnalysisRecord",
@@ -67,7 +67,7 @@ def capture_record(model: ResNet, dataset: Dataset, batch_size: int = 256) -> An
         chunks.setdefault((stage_idx, block_idx), []).append(g.copy())
         return g
 
-    evaluate(model, dataset, batch_size, gate_transform=record)
+    eval_hits(model, dataset, batch_size, gate_transform=record)
     gates = {key: np.concatenate(parts) for key, parts in chunks.items()}
     return AnalysisRecord(gates=gates, image_ids=np.arange(len(dataset), dtype=np.int64))
 

@@ -31,7 +31,7 @@ from .data import (
 )
 from .gradcheck import SUITE_TOLERANCE, run_suite
 from .models import ArchitectureConfig, ResNet, build_resnet, named_config, parse_recalib
-from .train import TrainConfig, config_hash, evaluate, load_model, train
+from .train import TrainConfig, config_hash, evaluate, load_checkpoint, load_model, train
 
 __all__ = ["main", "entry"]
 
@@ -72,17 +72,6 @@ def _load_data(path_flag: str | None, split: str) -> Dataset:
     return load_dataset(path)
 
 
-def _set_threads(n: int | None) -> None:
-    if n is None:
-        return
-    try:
-        import threadpoolctl
-    except ImportError as exc:
-        raise UsageError("--threads needs threadpoolctl; install the 'threads' extra "
-                         "(pip install 'style-recal[threads]')") from exc
-    threadpoolctl.threadpool_limits(n)
-
-
 def _write_manifest(out: Path, command: str, resolved: dict) -> None:
     out.mkdir(parents=True, exist_ok=True)
     manifest = {"command": command, "version": __version__, "resolved_config": resolved}
@@ -92,12 +81,11 @@ def _write_manifest(out: Path, command: str, resolved: dict) -> None:
 def _cmd_train(args) -> int:
     arch = _load_arch(args.arch, args.recalib)
     dataset = _load_data(args.data, "train")
+    dataset.require_classes(arch.num_classes)
     test_set = None
     if args.eval_every:
-        test_path = args.test_data or args.data
-        test_set = _load_data(test_path, "test")
-    # argparse sets exactly one of --steps and --epochs; TrainConfig rejects a batch below 2.
-    steps = args.steps if args.epochs is None else args.epochs * (len(dataset) // max(args.batch, 1))
+        test_set = _load_data(args.test_data or args.data, "test")
+        test_set.require_classes(arch.num_classes)
     try:
         schedule = None
         if args.schedule:
@@ -106,7 +94,7 @@ def _cmd_train(args) -> int:
                 raise ValueError(f"--schedule {args.schedule!r} is not a comma list of step:lr")
             schedule = [(int(step), float(lr)) for step, lr in pairs]
         cfg = TrainConfig(
-            steps=steps,
+            steps=args.steps,
             batch_size=args.batch,
             lr=args.lr,
             momentum=args.momentum,
@@ -121,10 +109,15 @@ def _cmd_train(args) -> int:
         raise UsageError(f"train: {exc}") from exc
     if len(dataset) < cfg.batch_size:
         raise UsageError(f"train: dataset of {len(dataset)} examples is smaller than --batch {cfg.batch_size}")
-    out = Path(args.out)
-    _write_manifest(out, "train", {"arch": asdict(arch), "train": asdict(cfg), "seed": args.seed,
-                                   "config_hash": config_hash(asdict(arch), cfg.trajectory_dict())})
+    chash = config_hash(asdict(arch), cfg.trajectory_dict())
     model = build_resnet(arch, seed=args.seed)
+    if args.resume is not None:  # checked before anything is written; train() loads it again with the optimizer
+        try:
+            load_checkpoint(args.resume, model, expect_hash=chash)
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"--resume: {exc}") from exc
+    out = Path(args.out)
+    _write_manifest(out, "train", {"arch": asdict(arch), "train": asdict(cfg), "seed": args.seed, "config_hash": chash})
     result = train(model, dataset, cfg, out_dir=out, eval_dataset=test_set,
                    resume_from=args.resume)
     if result.diverged:
@@ -136,7 +129,7 @@ def _cmd_train(args) -> int:
 
 
 def _restore_model(args) -> tuple[ResNet, Dataset]:
-    """The checkpoint's model in eval mode, folded with --fold-bn, and the dataset (a container's split wins)."""
+    """The checkpoint's model and the dataset (a container's split wins)."""
     if args.batch < 1:
         raise UsageError(f"--batch must be >= 1, got {args.batch}")
     if not Path(args.ckpt).exists():
@@ -144,11 +137,7 @@ def _restore_model(args) -> tuple[ResNet, Dataset]:
     dataset = _load_data(args.data, args.split or "test")
     if args.split not in (None, dataset.split):
         raise UsageError(f"--split {args.split} disagrees with the dataset's recorded split {dataset.split}")
-    model = load_model(args.ckpt)
-    model.eval()
-    if getattr(args, "fold_bn", False):
-        model.fold_bn()
-    return model, dataset
+    return load_model(args.ckpt), dataset
 
 
 def _cmd_eval(args) -> int:
@@ -301,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, help, *groups):
         p = sub.add_parser(name, help=help)
-        p.add_argument("--threads", type=int, default=None)
         for group in groups:
             group(p)
         p.set_defaults(func=func)
@@ -309,9 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("train", _cmd_train, "train a model", seed, data, arch)
     p.add_argument("--out", required=True)
-    length = p.add_mutually_exclusive_group(required=True)
-    length.add_argument("--steps", type=int, default=None)
-    length.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--steps", type=int, required=True)
     rate = p.add_mutually_exclusive_group()
     rate.add_argument("--lr", type=float, default=None, help="constant learning rate (default 0.1)")
     rate.add_argument("--schedule", default=None, help="comma list of step:lr from step 0, e.g. 0:0.2,32000:0.02")
@@ -324,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", default=None, help="checkpoint to resume from")
 
     p = command("eval", _cmd_eval, "evaluate a checkpoint", checkpoint)
-    p.add_argument("--fold-bn", action="store_true", help="fold recalibration BN before evaluating")
     p.add_argument("--out", default=None)
 
     p = command("prune", _cmd_prune, "per-image dynamic channel pruning sweep", checkpoint)
@@ -333,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = command("analyze", _cmd_analyze, "capture gates; correlation and top-activated reports", checkpoint)
-    p.add_argument("--fold-bn", action="store_true")
     p.add_argument("--top-k", type=int, default=5)
     p.add_argument("--out", required=True)
 
@@ -363,7 +347,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _set_threads(args.threads)
         return args.func(args)
     except (UsageError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -60,6 +60,11 @@ class Dataset:
     def __len__(self) -> int:
         return self.images.shape[0]
 
+    def require_classes(self, num_classes: int) -> None:
+        """Raise DataError if the set has more classes than a model's ``num_classes`` outputs."""
+        if self.num_classes > num_classes:
+            raise DataError(f"the {self.split} set has {self.num_classes} classes, more than the model's {num_classes}")
+
 
 def _find_batch_dir(path: str | Path) -> Path:
     p = Path(path)
@@ -225,7 +230,7 @@ def load_dataset(path: str | Path) -> Dataset:
         images=entries["images"],
         labels=entries["labels"],
         split=meta.get("split", "train"),
-        num_classes=int(meta.get("num_classes", int(entries["labels"].max()) + 1)),
+        num_classes=int(meta["num_classes"] if "num_classes" in meta else entries["labels"].max() + 1),
     )
 
 

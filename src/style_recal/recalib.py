@@ -151,23 +151,20 @@ class StyleIntegration(Module):
         return sigmoid(self.bn(z) if self.bn is not None else z + self.bias)
 
     def fold(self) -> None:
-        """Merge the eval-mode BN affine into the weights and a bias, and drop the BN.
+        """Merge BN's eval-mode affine into the weights and a bias, and drop the BN.
 
-        w'_c = gamma_c * w_c / sqrt(var_c + eps)
-        b'_c = beta_c - gamma_c * mean_c / sqrt(var_c + eps)
-
+        With (scale, shift) = ``bn.eval_affine()``: w'_c = scale_c * w_c and b'_c = shift_c.
         The folded layer is for inference only: the BN state is gone.
         """
         if self.bn is None:
             raise FoldError("fold: layer has no BN to fold")
         if not self.bn.stats_initialized:
             raise FoldError("fold: running statistics not populated (train first or load a checkpoint)")
-        var = self.bn.running_var
-        if not np.isfinite(var).all() or not np.isfinite(self.bn.running_mean).all():
+        if not np.isfinite(self.bn.running_var).all() or not np.isfinite(self.bn.running_mean).all():
             raise FoldError("fold: running statistics contain non-finite values")
-        scale = self.bn.gamma.data / np.sqrt(var + self.bn.eps)
+        scale, shift = self.bn.eval_affine()
         self.weight.data = self.weight.data * scale[:, None]
-        self.bias = Parameter(self.bn.beta.data - scale * self.bn.running_mean)
+        self.bias = Parameter(shift)
         self.bn = None
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .container import read_container, write_container
-from .data import Dataset, augment, iterate_batches
+from .data import DataError, Dataset, augment, iterate_batches
 from .models import ArchitectureConfig, GateTransform, ResNet, build_resnet
 from .tensor import Tape, Tensor, cross_entropy
 
@@ -32,6 +32,7 @@ __all__ = [
     "cifar_recipe",
     "train",
     "evaluate",
+    "eval_hits",
     "save_checkpoint",
     "load_checkpoint",
     "load_model",
@@ -233,9 +234,14 @@ def _apply_state(model: ResNet, opt: SGD | None, entries: dict[str, np.ndarray],
         v[...] = saved[k]
 
 
-def evaluate(model: ResNet, dataset: Dataset, batch_size: int = 256,
-             gate_transform: GateTransform | None = None) -> float:
-    """Top-1 accuracy over the full set in eval mode; ``gate_transform`` goes to every forward."""
+def eval_hits(model: ResNet, dataset: Dataset, batch_size: int = 256,
+              gate_transform: GateTransform | None = None) -> int:
+    """Correct top-1 predictions over the full set in eval mode; ``gate_transform`` goes to every forward.
+
+    The one batched eval-mode loop. A label beyond the model's outputs is a miss; an empty set raises DataError.
+    """
+    if len(dataset) == 0:
+        raise DataError(f"the {dataset.split} set is empty")
     was_training = model.training
     model.eval()
     correct = 0
@@ -244,7 +250,14 @@ def evaluate(model: ResNet, dataset: Dataset, batch_size: int = 256,
         correct += int((logits.data.argmax(axis=1) == labels).sum())
     if was_training:
         model.train()
-    return correct / len(dataset)
+    return correct
+
+
+def evaluate(model: ResNet, dataset: Dataset, batch_size: int = 256,
+             gate_transform: GateTransform | None = None) -> float:
+    """Top-1 accuracy of ``eval_hits``; DataError for a set with more classes than the model outputs."""
+    dataset.require_classes(model.config.num_classes)
+    return eval_hits(model, dataset, batch_size, gate_transform) / len(dataset)
 
 
 # glibc mallopt parameters (malloc.h).
@@ -284,6 +297,7 @@ def train(model: ResNet, dataset: Dataset, cfg: TrainConfig, out_dir: str | Path
     early when it returns True (the history up to that point is unchanged).
     """
     _keep_freed_memory_mapped()
+    dataset.require_classes(model.config.num_classes)
     n = len(dataset)
     if n < cfg.batch_size:
         raise ValueError(f"dataset of {n} examples smaller than batch size {cfg.batch_size}")

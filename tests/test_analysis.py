@@ -240,6 +240,13 @@ class TestCaptureRecord:
             g = rec.gates[layer]
             assert (g > 0).all() and (g < 1).all()
 
+    def test_empty_set_rejected(self):
+        empty = Dataset(np.zeros((0, 3, 8, 8), np.float32), np.zeros(0, np.int64), "test", 4)
+        with pytest.raises(ValueError, match="the test set is empty"):
+            capture_record(small_model(), empty)
+        with pytest.raises(ValueError, match="the test set is empty"):
+            prune_eval(small_model(), empty, stage=0, ratio=0.5)
+
     def test_capture_deterministic(self):
         model = small_model(seed=3)
         data = shuffled_subset(synth_style(SynthStyleSpec(seed=7, per_class=8, size=8)), 16)

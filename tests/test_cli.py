@@ -3,7 +3,7 @@ import csv
 import hashlib
 import json
 import re
-import sys
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +12,9 @@ import pytest
 from style_recal.analysis import capture_record, correlation_matrix, prune_eval
 from style_recal.cli import build_parser, main
 from style_recal.container import read_container, write_container
-from style_recal.data import load_dataset
+from style_recal.data import Dataset, load_dataset, save_dataset
 from style_recal.models import ArchitectureConfig, build_resnet
-from style_recal.train import evaluate, load_checkpoint, load_model
+from style_recal.train import evaluate, load_checkpoint, load_model, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -87,12 +87,6 @@ class TestExitCodes:
         monkeypatch.delenv("STYLE_RECAL_DATA", raising=False)
         rc = main(["eval", "--ckpt", str(tmp_path / "no.bin")])
         assert rc == 2
-
-    def test_threads_without_threadpoolctl_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import now raises ImportError
-        rc = main(["complexity", "--arch", "resnet20", "--threads", "2"])
-        assert rc == 2
-        assert "'threads' extra" in capsys.readouterr().err
 
     def test_unknown_arch_key_usage_error(self, tmp_path, capsys):
         path = tmp_path / "typo.json"
@@ -222,16 +216,14 @@ class TestSynthCommand:
 
 # Every flag of every subcommand; README.md's "Command line" table lists the same sets.
 CLI_FLAGS = {
-    "train": {"--threads", "--seed", "--data", "--batch", "--arch", "--recalib", "--out", "--steps", "--epochs",
-              "--lr", "--schedule", "--momentum", "--weight-decay", "--augment", "--log-every", "--eval-every",
-              "--test-data", "--resume"},
-    "eval": {"--threads", "--data", "--batch", "--ckpt", "--split", "--fold-bn", "--out"},
-    "prune": {"--threads", "--data", "--batch", "--ckpt", "--split", "--stage", "--ratios", "--out"},
-    "analyze": {"--threads", "--data", "--batch", "--ckpt", "--split", "--fold-bn", "--top-k", "--out"},
-    "complexity": {"--threads", "--arch", "--recalib", "--input-size", "--running-stats", "--out"},
-    "gradcheck": {"--threads", "--seed", "--count"},
-    "synth": {"--threads", "--seed", "--out", "--classes", "--per-class", "--size", "--channels", "--jitter",
-              "--means", "--stds"},
+    "train": {"--seed", "--data", "--batch", "--arch", "--recalib", "--out", "--steps", "--lr", "--schedule",
+              "--momentum", "--weight-decay", "--augment", "--log-every", "--eval-every", "--test-data", "--resume"},
+    "eval": {"--data", "--batch", "--ckpt", "--split", "--out"},
+    "prune": {"--data", "--batch", "--ckpt", "--split", "--stage", "--ratios", "--out"},
+    "analyze": {"--data", "--batch", "--ckpt", "--split", "--top-k", "--out"},
+    "complexity": {"--arch", "--recalib", "--input-size", "--running-stats", "--out"},
+    "gradcheck": {"--seed", "--count"},
+    "synth": {"--seed", "--out", "--classes", "--per-class", "--size", "--channels", "--jitter", "--means", "--stds"},
 }
 
 
@@ -269,7 +261,6 @@ class TestTrainUsageErrors:
 
     @pytest.mark.parametrize("flags,named", [
         (["--lr", "0.5", "--schedule", "0:0.05"], "argument --schedule: not allowed with argument --lr"),
-        (["--epochs", "1"], "argument --epochs: not allowed with argument --steps"),
     ])
     def test_flags_that_would_override_each_other(self, synth_dir, tmp_path_factory, tmp_path, capsys,
                                                  flags, named):
@@ -298,6 +289,52 @@ class TestTrainUsageErrors:
         resolved = json.loads((out / "manifest.json").read_text())["resolved_config"]
         assert resolved["train"]["lr"] == 0.05 and resolved["train"]["schedule"] == [[0, 0.05]]
 
+    def test_missing_resume_usage_error(self, synth_dir, tmp_path_factory, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["train", "--arch", _tiny_arch_file(tmp_path_factory), "--data", str(synth_dir / "train.bin"),
+                   "--out", str(out), "--steps", "2", "--batch", "8", "--resume", str(tmp_path / "nope.bin")])
+        assert rc == 2
+        assert "nope.bin" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resume_under_other_flags_leaves_the_run_untouched(self, trained_run, synth_dir, tmp_path_factory,
+                                                                tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run, run)
+        before = {f.name: f.read_bytes() for f in run.iterdir()}
+        rc = main(["train", "--arch", _tiny_arch_file(tmp_path_factory), "--recalib", "se",
+                   "--data", str(synth_dir / "train.bin"), "--out", str(run), "--steps", "6", "--batch", "16",
+                   "--lr", "0.05", "--log-every", "2", "--seed", "1", "--resume", str(run / "checkpoint.bin")])
+        assert rc == 2
+        saved = json.loads(before["manifest.json"])["resolved_config"]["config_hash"]
+        assert re.search(f"config hash {saved} != expected [0-9a-f]{{64}}", capsys.readouterr().err)
+        assert {f.name: f.read_bytes() for f in run.iterdir()} == before
+
+    @pytest.mark.parametrize("train_classes,named", [(4, "train"), (2, "test")])
+    def test_more_classes_than_the_model_usage_error(self, synth_dir, two_class, tmp_path, capsys,
+                                                     train_classes, named):
+        out = tmp_path / "run"
+        train_set = synth_dir / "train.bin" if train_classes == 4 else two_class / "synth" / "train.bin"
+        rc = main(["train", "--arch", str(two_class / "arch.json"), "--data", str(train_set), "--out", str(out),
+                   "--steps", "2", "--batch", "8", "--log-every", "1", "--eval-every", "1",
+                   "--test-data", str(synth_dir / "test.bin")])
+        assert rc == 2
+        assert f"the {named} set has 4 classes, more than the model's 2" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def two_class(tmp_path_factory):
+    """A 2-class SRM architecture file, an untrained checkpoint of it and a 2-class synthetic set."""
+    work = tmp_path_factory.mktemp("two_class")
+    arch = json.loads(Path(_tiny_arch_file(tmp_path_factory)).read_text())
+    srm = {"pooling": ["avg", "std"], "integration": "cfc", "use_bn": True}
+    (work / "arch.json").write_text(json.dumps({**arch, "num_classes": 2, "recalib": srm}))
+    model = build_resnet(ArchitectureConfig.from_json((work / "arch.json").read_text()))
+    save_checkpoint(work / "ckpt.bin", model, None, 0, "h")
+    assert main(["synth", "--out", str(work / "synth"), "--classes", "2", "--per-class", "8", "--size", "8"]) == 0
+    return work
+
 
 class TestTrainEvalPipeline:
     def test_train_outputs(self, trained_run):
@@ -318,17 +355,18 @@ class TestTrainEvalPipeline:
         assert 0.0 <= payload["top1"] <= 1.0
         assert payload["examples"] == 64
 
-    def test_eval_with_fold(self, trained_run, synth_dir, capsys):
-        args = [
-            "eval",
-            "--ckpt", str(trained_run / "checkpoint.bin"),
-            "--data", str(synth_dir / "test.bin"),
-        ]
-        assert main(args) == 0
-        plain = json.loads(capsys.readouterr().out)
-        assert main(args + ["--fold-bn"]) == 0
-        folded = json.loads(capsys.readouterr().out)
-        assert folded["top1"] == plain["top1"]  # fold identity at eval time
+    def test_folded_checkpoint_reads_like_any_other(self, trained_run, synth_dir, tmp_path, capsys):
+        model = load_model(trained_run / "checkpoint.bin")
+        assert model.fold_bn() == len(model.recalib_layers())
+        folded = str(tmp_path / "folded.bin")
+        save_checkpoint(folded, model, None, 4, "h")
+        test = synth_dir / "test.bin"
+        assert main(["eval", "--ckpt", folded, "--data", str(test)]) == 0
+        want = {"top1": evaluate(model, load_dataset(test), batch_size=128), "examples": 64, "split": "test"}
+        assert capsys.readouterr().out == json.dumps(want) + "\n"
+        assert main(["analyze", "--ckpt", folded, "--data", str(test), "--out", str(tmp_path / "analysis")]) == 0
+        manifest = json.loads((tmp_path / "analysis" / "manifest.json").read_text())
+        assert manifest["resolved_config"]["arch"]["recalib"]["use_bn"] is False
 
     def test_prune_csv_row_count(self, trained_run, synth_dir, tmp_path, capsys):
         rc = main([
@@ -425,6 +463,36 @@ class TestTrainEvalPipeline:
         assert main(["train", *common, "--out", str(resumed), "--steps", "4",
                      "--resume", str(half / "checkpoint.bin")]) == 0
         assert (resumed / "checkpoint.bin").read_bytes() == (full / "checkpoint.bin").read_bytes()
+
+
+class TestUnusableDataset:
+    """eval and prune score labels, so a set the model cannot score is a usage error; analyze reads only images."""
+
+    @pytest.mark.parametrize("command,flags", [("eval", []), ("prune", ["--stage", "0"])])
+    def test_more_classes_than_the_model_usage_error(self, two_class, synth_dir, tmp_path, capsys, command, flags):
+        rc = main([command, "--ckpt", str(two_class / "ckpt.bin"), "--data", str(synth_dir / "test.bin"),
+                   "--out", str(tmp_path)] + flags)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "the test set has 4 classes, more than the model's 2" in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_analyze_takes_a_set_with_more_classes(self, two_class, synth_dir, tmp_path):
+        assert main(["analyze", "--ckpt", str(two_class / "ckpt.bin"), "--data", str(synth_dir / "test.bin"),
+                     "--out", str(tmp_path)]) == 0
+        assert len(read_container(tmp_path / "record.bin")[0]["image_ids"]) == 64
+
+    @pytest.mark.parametrize("command,flags", [("eval", []), ("prune", ["--stage", "0"]), ("analyze", [])])
+    def test_empty_set_usage_error(self, trained_run, tmp_path, capsys, command, flags):
+        empty = tmp_path / "empty.bin"
+        save_dataset(empty, Dataset(np.zeros((0, 3, 8, 8), np.float32), np.zeros(0, np.int64), "test", 4))
+        out = tmp_path / "out"
+        rc = main([command, "--ckpt", str(trained_run / "checkpoint.bin"), "--data", str(empty),
+                   "--out", str(out)] + flags)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "the test set is empty" in captured.err and captured.out == ""
+        assert not out.exists()
 
 
 # A variant with the same parameter shapes as "srm": only the recorded architecture tells them apart.
@@ -524,9 +592,12 @@ class TestSplit:
         rng = np.random.default_rng(0)
         for name, count in [(f"data_batch_{i}.bin", 1) for i in range(1, 6)] + [("test_batch.bin", 3)]:
             records = rng.integers(0, 256, size=(count, 3073), dtype=np.uint8)
-            records[:, 0] %= 4  # labels within the model's 4 classes
+            records[:, 0] %= 10
             records.tofile(tmp_path / name)
-        ckpt = str(trained_run / "checkpoint.bin")
+        arch = load_model(trained_run / "checkpoint.bin").config
+        arch.num_classes = 10  # a binary-batch directory holds 10 classes
+        ckpt = str(tmp_path / "ten_classes.bin")
+        save_checkpoint(ckpt, build_resnet(arch), None, 0, "h")
         assert main(["eval", "--ckpt", ckpt, "--data", str(tmp_path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert (payload["split"], payload["examples"]) == ("test", 3)

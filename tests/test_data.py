@@ -239,6 +239,12 @@ class TestDatasetContainer:
         np.testing.assert_array_equal(loaded.labels, ds.labels)
         assert loaded.num_classes == ds.num_classes and loaded.split == ds.split
 
+    def test_empty_set_keeps_its_recorded_classes(self, tmp_path):
+        empty = Dataset(np.zeros((0, 3, 8, 8), np.float32), np.zeros(0, np.int64), "test", 4)
+        save_dataset(tmp_path / "empty.bin", empty)
+        loaded = load_dataset(tmp_path / "empty.bin")
+        assert (len(loaded), loaded.num_classes, loaded.split) == (0, 4, "test")
+
     def test_wrong_kind_rejected(self, tmp_path):
         from style_recal.container import write_container
 

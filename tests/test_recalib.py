@@ -160,6 +160,20 @@ class TestFoldIdentity:
         g = layer(t).data
         np.testing.assert_allclose(g, np.broadcast_to(sigmoid(beta), g.shape), rtol=1e-6)
 
+    def test_fold_applies_bn_eval_affine(self):
+        rng = np.random.default_rng(9)
+        layer = StyleIntegration(64, 2, rng=rng)
+        layer.bn.gamma.data = rng.uniform(0.2, 2.0, size=64).astype(np.float32)
+        layer.bn.beta.data = rng.normal(size=64).astype(np.float32)
+        layer.bn.running_mean[...] = rng.normal(size=64)
+        layer.bn.running_var[...] = rng.uniform(0.05, 3.0, size=64)
+        layer.bn.num_batches[...] = 1
+        scale, shift = layer.bn.eval_affine()
+        weight = layer.weight.data.copy()
+        layer.fold()
+        np.testing.assert_array_equal(layer.weight.data, weight * scale[:, None])
+        np.testing.assert_array_equal(layer.bias.data, shift)
+
     def test_eval_equals_folded_over_random_states(self):
         rng = np.random.default_rng(7)
         for trial in range(100):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from style_recal.container import read_container, write_container
-from style_recal.data import SynthStyleSpec, synth_style
+from style_recal.data import Dataset, SynthStyleSpec, synth_style
 from style_recal.models import ArchitectureConfig, StageSpec, build_resnet, cifar_resnet_config, named_config
 from style_recal.recalib import RecalibVariant
 from style_recal.tensor import Parameter, Tape, Tensor, cross_entropy
@@ -340,6 +340,21 @@ class TestTrainLoop:
         data = tiny_data(per_class=8)
         acc = evaluate(model, data, batch_size=16)
         assert 0.0 <= acc <= 1.0
+
+    def test_more_classes_than_the_model_rejected(self, tmp_path):
+        cfg = tiny_cfg()
+        cfg.num_classes = 2
+        model = build_resnet(cfg, seed=0)
+        with pytest.raises(ValueError, match="the train set has 4 classes, more than the model's 2"):
+            evaluate(model, tiny_data())
+        with pytest.raises(ValueError, match="the train set has 4 classes, more than the model's 2"):
+            train(model, tiny_data(), TrainConfig(steps=2, batch_size=8, log_every=1), out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    def test_empty_set_rejected(self):
+        empty = Dataset(np.zeros((0, 3, 8, 8), np.float32), np.zeros(0, np.int64), "test", 4)
+        with pytest.raises(ValueError, match="the test set is empty"):
+            evaluate(build_resnet(tiny_cfg(), seed=0), empty)
 
     def test_fifty_steps_learn_two_class_style_task(self):
         # Mean-separated two-class set; the styled 20-layer net should fit it
