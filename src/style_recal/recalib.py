@@ -216,22 +216,23 @@ class ChannelRecalib(Module):
                 channels, variant.d, reduction=variant.se_reduction, use_bn=variant.use_bn, rng=rng
             )
 
-    def gates(self, x: Tensor) -> Tensor:
-        """Per-example per-channel weights of shape (N, C), each in (0, 1)."""
+    def gates(self, x: Tensor, gate_cb=None) -> Tensor:
+        """Per-example per-channel weights of shape (N, C), each in (0, 1).
+
+        ``gate_cb`` maps the gate array to replacement gates, which are
+        returned instead. They are constants, so a callback is refused where
+        the gates would otherwise carry a gradient (an active Tape).
+        """
         if x.ndim != 4 or x.shape[1] != self.channels:
             raise ShapeError(f"recalib: expected (N, {self.channels}, H, W), got {x.shape}")
-        return self.integrate(self.pool(x))
+        g = self.integrate(self.pool(x))
+        if gate_cb is None:
+            return g
+        if g.requires_grad and _active_tape() is not None:
+            raise RuntimeError("recalib: gate_cb under an active Tape would cut the gate gradient; "
+                               "run gate callbacks without a Tape")
+        return Tensor(gate_cb(g.data))
 
     def forward(self, x: Tensor, gate_cb=None) -> Tensor:
-        """Rescale x by its gates; ``gate_cb`` maps the gate array to replacement gates.
-
-        The replacement gates are constants, so a callback is refused where the
-        gates would otherwise carry a gradient (an active Tape).
-        """
-        g = self.gates(x)
-        if gate_cb is not None:
-            if g.requires_grad and _active_tape() is not None:
-                raise RuntimeError("recalib: gate_cb under an active Tape would cut the gate gradient; "
-                                   "run gate callbacks without a Tape")
-            g = Tensor(gate_cb(g.data))
-        return scale_channels(x, g)
+        """Rescale x by its gates, replaced by ``gate_cb``'s if given (see :meth:`gates`)."""
+        return scale_channels(x, self.gates(x, gate_cb))

@@ -360,6 +360,22 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
     return _make(out, (a,), backward)
 
 
+# Working-set bytes of one block: the patch matrix that conv2d lowers at once,
+# the rows style_pool centres at once, and the images of an eval residual tail.
+# About half of a 2 MiB per-core L2, so a block stays in cache between passes.
+_PATCH_BYTES = 1 << 20
+
+
+def _spans(count: int, item_bytes: int) -> list[tuple[int, int]]:
+    """(start, stop) bounds of ceil(total bytes / _PATCH_BYTES) near-equal blocks of ``count`` items.
+
+    Each item is ``item_bytes`` long, and a block holds at least one item.
+    """
+    parts = max(1, min(count, -(-count * item_bytes // _PATCH_BYTES)))
+    bounds = [count * i // parts for i in range(parts + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def style_pool(x: Tensor, kinds) -> Tensor:
     """Per-example per-channel spatial statistics of an NCHW map, as one op.
 
@@ -375,6 +391,13 @@ def style_pool(x: Tensor, kinds) -> Tensor:
     and max routes g to the first attaining element. The backward recomputes
     the centred values (the same op, so the same values) rather than keeping
     a map-sized copy alive from the forward to the backward.
+
+    With std, both passes walk the (N*C, H*W) rows in blocks of about
+    ``_PATCH_BYTES``: the forward takes each block's mean, then centres and
+    squares the block in one block-sized scratch, and the backward writes
+    each block of the input gradient in place. numpy sums every contiguous
+    row pairwise whatever the number of rows, so the values are those of the
+    whole-map formulas, with no map-sized temporary.
     """
     x = _as_tensor(x)
     if x.ndim != 4:
@@ -387,35 +410,45 @@ def style_pool(x: Tensor, kinds) -> Tensor:
     shape = x.shape
     n, c, h, w = shape
     m = h * w
-    x3 = x.data.reshape(n, c, m)
-    out = np.empty((n, c, len(kinds)), dtype=x.dtype)
-    if "avg" in col or "std" in col:
-        mu = x3.mean(axis=2)
-    if "avg" in col:
-        out[..., col["avg"]] = mu
+    rows = x.data.reshape(n * c, m)
+    blocks = _spans(n * c, m * x.data.itemsize)
+    out = np.empty((n * c, len(kinds)), dtype=x.dtype)
     if "std" in col:
-        xc = x3 - mu[..., None]
-        sigma = np.sqrt((xc * xc).mean(axis=2) + POOL_EPS)
-        out[..., col["std"]] = sigma
+        mu, var = np.empty((2, n * c), dtype=x.dtype)
+        scratch = np.empty((max(b - a for a, b in blocks), m), dtype=x.dtype)
+        for a, b in blocks:
+            mu[a:b] = rows[a:b].mean(axis=1)
+            xc = np.subtract(rows[a:b], mu[a:b, None], out=scratch[: b - a])
+            var[a:b] = np.multiply(xc, xc, out=xc).mean(axis=1)
+    elif "avg" in col:
+        mu = rows.mean(axis=1)
+    if "avg" in col:
+        out[:, col["avg"]] = mu
+    if "std" in col:
+        sigma = np.sqrt(var + POOL_EPS)
+        out[:, col["std"]] = sigma
     if "max" in col:
-        idx = x3.argmax(axis=2)
-        out[..., col["max"]] = np.take_along_axis(x3, idx[..., None], axis=2)[..., 0]
+        idx = rows.argmax(axis=1)
+        out[:, col["max"]] = rows[np.arange(n * c), idx]
+    out = out.reshape(n, c, len(kinds))
 
     def backward(g):
-        if squeeze:
-            g = g[..., None]
+        g = g.reshape(n * c, len(kinds))
         if "std" in col:
-            gx = x3 - mu[..., None]
-            gx *= (g[..., col["std"]] / (m * sigma))[..., None]
-            if "avg" in col:
-                gx += (g[..., col["avg"]] / m)[..., None]
+            gx = np.empty((n * c, m), dtype=x.dtype)
+            g_std = g[:, col["std"]] / (m * sigma)
+            g_avg = g[:, col["avg"]] / m if "avg" in col else None
+            for a, b in blocks:
+                block = np.subtract(rows[a:b], mu[a:b, None], out=gx[a:b])
+                block *= g_std[a:b, None]
+                if g_avg is not None:
+                    block += g_avg[a:b, None]
         elif "avg" in col:
-            gx = np.broadcast_to((g[..., col["avg"]] / m)[..., None], (n, c, m)).copy()
+            gx = np.broadcast_to((g[:, col["avg"]] / m)[:, None], (n * c, m)).copy()
         else:
-            gx = np.zeros((n, c, m), dtype=g.dtype)
+            gx = np.zeros((n * c, m), dtype=g.dtype)
         if "max" in col:
-            rows = gx.reshape(n * c, m)
-            rows[np.arange(n * c), idx.reshape(-1)] += g[..., col["max"]].reshape(-1)
+            gx[np.arange(n * c), idx] += g[:, col["max"]]
         return (gx.reshape(shape),)
 
     return _make(out[..., 0] if squeeze else out, (x,), backward)
@@ -434,11 +467,6 @@ def scale_channels(x: Tensor, g: Tensor) -> Tensor:
         return grad * gb, np.einsum("nchw,nchw->nc", grad, x.data)
 
     return _make(out, (x, g), backward)
-
-
-# Patch-matrix bytes that conv2d lowers at once: about half of a 2 MiB
-# per-core L2, so a slice's patches stay in cache between im2col and its gemm.
-_PATCH_BYTES = 1 << 20
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, padding: int, scratch: dict | None = None):
@@ -550,10 +578,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0, *,
     ho = (hp - k) // stride + 1
     wo = (wp - k) // stride + 1
 
-    image_bytes = cin * k * k * ho * wo * x.data.itemsize
-    slices = max(1, min(n, -(-n * image_bytes // _PATCH_BYTES)))
-    bounds = [n * i // slices for i in range(slices + 1)]
-    spans = list(zip(bounds[:-1], bounds[1:]))
+    spans = _spans(n, cin * k * k * ho * wo * x.data.itemsize)
     w2 = weight.data.reshape(cout, cin * k * k)
     out = np.empty((n, cout, ho, wo), dtype=np.result_type(w2, x.data))
     scratch = {}

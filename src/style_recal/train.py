@@ -239,9 +239,11 @@ def eval_hits(model: ResNet, dataset: Dataset, batch_size: int = 256,
     """Correct top-1 predictions over the full set in eval mode; ``gate_transform`` goes to every forward.
 
     The one batched eval-mode loop. A label beyond the model's outputs is a miss; an empty set raises DataError.
+    Like ``train()``, it has glibc keep freed memory mapped, so each batch reuses the last one's pages.
     """
     if len(dataset) == 0:
         raise DataError(f"the {dataset.split} set is empty")
+    _keep_freed_memory_mapped()
     was_training = model.training
     model.eval()
     correct = 0
@@ -268,9 +270,10 @@ _M_MMAP_THRESHOLD = -3
 def _keep_freed_memory_mapped() -> bool:
     """Have glibc keep freed heap memory mapped for reuse; False (a no-op) off glibc.
 
-    ``Tape.backward`` frees each activation as the replay passes it. By default
-    glibc returns such memory to the kernel (mmap'd blocks at once, the heap top
-    past a trim threshold), and the next step faults every page in again. Blocks
+    ``Tape.backward`` frees each activation as the replay passes it, and an eval
+    batch frees each as the forward passes it. By default glibc returns such
+    memory to the kernel (mmap'd blocks at once, the heap top past a trim
+    threshold), and the next step or batch faults every page in again. Blocks
     under 32 MiB come from the heap instead, and the heap is trimmed only past
     1 GiB free at its top. The settings are process-wide.
     """
@@ -298,6 +301,10 @@ def train(model: ResNet, dataset: Dataset, cfg: TrainConfig, out_dir: str | Path
     """
     _keep_freed_memory_mapped()
     dataset.require_classes(model.config.num_classes)
+    if eval_dataset is not None:  # before the first step, so a set that cannot be evaluated costs no steps
+        eval_dataset.require_classes(model.config.num_classes)
+        if len(eval_dataset) == 0:
+            raise DataError(f"the {eval_dataset.split} set is empty")
     n = len(dataset)
     if n < cfg.batch_size:
         raise ValueError(f"dataset of {n} examples smaller than batch size {cfg.batch_size}")

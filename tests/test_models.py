@@ -1,13 +1,15 @@
+import functools
 import hashlib
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from style_recal import layers
+from style_recal import layers, models
 from style_recal import tensor as T
-from style_recal.analysis import capture_record
+from style_recal.analysis import capture_record, prune_eval, prune_gate_transform
 from style_recal.data import Dataset
 from style_recal.layers import BatchNorm, global_pool
 from style_recal.models import (
@@ -288,8 +290,9 @@ def test_stem_conv_computes_no_image_gradient():
         np.testing.assert_array_equal(g, grads_with_image[name], err_msg=name)
 
 
-def op_by_op_forward(model, x: Tensor) -> Tensor:
-    """The model's forward with every (conv, BN) pair run as separate ops: conv, BN's own forward, relu."""
+def op_by_op_forward(model, x: Tensor, gate_transform=None) -> Tensor:
+    """The model's forward as separate ops: each (conv, BN) pair as conv, BN's own forward and relu,
+    and each block's tail as ``scale_channels``, ``add`` and ``relu``."""
     def pair(conv, bn, h, with_relu):
         h = bn(conv(h))
         return relu(h) if with_relu else h
@@ -297,13 +300,13 @@ def op_by_op_forward(model, x: Tensor) -> Tensor:
     h = pair(model.stem_conv, model.stem_bn, x, True)
     if model.stem_pool is not None:
         h = model.stem_pool(h)
-    for stage in model.stages:
-        for block in stage:
+    for si, stage in enumerate(model.stages):
+        for bi, block in enumerate(stage):
             b = h
             for i, (conv, bn) in enumerate(block.pairs, start=1):
                 b = pair(conv, bn, b, i < len(block.pairs))
             if block.recalib is not None:
-                b = block.recalib(b)
+                b = block.recalib(b, functools.partial(gate_transform, si, bi) if gate_transform else None)
             shortcut = h if block.proj_conv is None else pair(block.proj_conv, block.proj_bn, h, False)
             h = relu(b + shortcut)
     return model.classifier(global_pool(h, "avg"))
@@ -338,8 +341,8 @@ class TestFusedEvalForward:
         randomize_bn(model, 4)
         model.eval()
         x = Tensor(np.random.default_rng(5).normal(size=(6, 3, size, size)).astype(np.float32))
-        if sliced:  # one image's stem patches: every conv lowers the batch an image at a time
-            monkeypatch.setattr(T, "_PATCH_BYTES", 27 * size * size * 4)
+        if sliced:  # every conv, block tail and style-pooling block takes one image (one row) at a time
+            monkeypatch.setattr(T, "_PATCH_BYTES", 1)
         want = op_by_op_forward(model, x).data
         calls = []
         conv2d = T.conv2d
@@ -349,9 +352,77 @@ class TestFusedEvalForward:
             return conv2d(*args, **kwargs)
 
         monkeypatch.setattr(layers, "conv2d", counting)
+        monkeypatch.setattr(models, "relu", None)  # the block tails run in one pass, not as ops
         got = model(x).data
         assert calls and all(calls)  # every conv went through the epilogue
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("sliced", [False, True], ids=["whole", "sliced"])
+    def test_captured_gates_and_pruned_accuracy_equal_op_by_op(self, monkeypatch, sliced):
+        model = build_resnet(cifar_resnet_config(20, "srm"), seed=12)
+        randomize_bn(model, 13)
+        model.eval()
+        rng = np.random.default_rng(14)
+        images = rng.normal(size=(12, 3, 16, 16)).astype(np.float32)
+        labels = rng.integers(0, 10, size=12)
+        data = Dataset(images, labels, "test", 10)
+        if sliced:
+            monkeypatch.setattr(T, "_PATCH_BYTES", 1)
+        batches = [Tensor(images[i : i + 5]) for i in range(0, 12, 5)]
+
+        parts = {}
+
+        def record(stage, block, g):
+            parts.setdefault((stage, block), []).append(g.copy())
+            return g
+
+        for x in batches:
+            op_by_op_forward(model, x, record)
+        captured = capture_record(model, data, batch_size=5)
+        assert captured.layers == sorted(parts)
+        for layer in captured.layers:
+            np.testing.assert_array_equal(captured.gates[layer], np.concatenate(parts[layer]), err_msg=str(layer))
+        for ratio in (0.0, 0.25, 0.5, 0.75, 1.0):
+            transform = prune_gate_transform(1, ratio)
+            logits = np.concatenate([op_by_op_forward(model, x, transform).data for x in batches])
+            np.testing.assert_array_equal(
+                np.concatenate([model(x, gate_transform=transform).data for x in batches]), logits)
+            assert prune_eval(model, data, 1, ratio, batch_size=5) == (logits.argmax(axis=1) == labels).sum() / 12
+
+    @pytest.mark.parametrize("recalib", ["srm", "se:8"])
+    def test_float64_gates_promote_like_the_ops(self, recalib):
+        model = build_resnet(cifar_resnet_config(20, recalib), seed=15)
+        randomize_bn(model, 16)
+        model.eval()
+        x = Tensor(np.random.default_rng(17).normal(size=(4, 3, 16, 16)).astype(np.float32))
+
+        def to_float64(stage, block, g):
+            return g.astype(np.float64)
+
+        got = model(x, gate_transform=to_float64).data
+        want = op_by_op_forward(model, x, to_float64).data
+        assert got.dtype == want.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("recalib", ["none", "srm"])
+    def test_eval_forward_holds_three_stage_maps(self, recalib):
+        """At most a block's input, its inner activation and its branch output, plus conv scratch.
+
+        The tail writes its output map with no temporaries, std pooling
+        centres one block at a time, and no frame keeps a stage's input while
+        the stage runs: the separate ops held five stage-1 maps at once.
+        """
+        model = build_resnet(cifar_resnet_config(20, recalib), seed=18).eval()
+        x = Tensor(np.random.default_rng(19).normal(size=(64, 3, 32, 32)).astype(np.float32))
+        model(x)
+        stage_map = 64 * 16 * 32 * 32 * 4  # bytes; the conv slices add about half of one
+        tracemalloc.start()
+        try:
+            model(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * stage_map
 
     def test_logits_do_not_depend_on_eval_batch(self):
         model = build_resnet(cifar_resnet_config(20, "srm"), seed=6)

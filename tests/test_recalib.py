@@ -42,6 +42,37 @@ def loop_style_pool(x, pooling):
     return out
 
 
+def unblocked_style_pool(x, pooling, g):
+    """Whole-map oracle, the formulas of style_pool before it pooled in row blocks.
+
+    Returns the (N, C, d) statistics and the input gradient for an output
+    gradient ``g``, in x's precision.
+    """
+    n, c, h, w = x.shape
+    m = h * w
+    x3 = x.reshape(n, c, m)
+    col = {kind: i for i, kind in enumerate(pooling)}
+    out = np.empty((n, c, len(pooling)), dtype=x.dtype)
+    mu = x3.mean(axis=2)
+    if "avg" in col:
+        out[..., col["avg"]] = mu
+    if "std" in col:
+        xc = x3 - mu[..., None]
+        sigma = np.sqrt((xc * xc).mean(axis=2) + T.POOL_EPS)
+        out[..., col["std"]] = sigma
+        gx = x3 - mu[..., None]
+        gx *= (g[..., col["std"]] / (m * sigma))[..., None]
+        if "avg" in col:
+            gx += (g[..., col["avg"]] / m)[..., None]
+    else:
+        gx = np.broadcast_to((g[..., col["avg"]] / m)[..., None], (n, c, m)).copy()
+    if "max" in col:
+        idx = x3.argmax(axis=2)
+        out[..., col["max"]] = np.take_along_axis(x3, idx[..., None], axis=2)[..., 0]
+        gx.reshape(n * c, m)[np.arange(n * c), idx.reshape(-1)] += g[..., col["max"]].reshape(-1)
+    return out, gx.reshape(x.shape)
+
+
 class TestRecalibVariant:
     def test_canonical_srm(self):
         v = RecalibVariant.srm()
@@ -92,6 +123,31 @@ class TestStylePool:
                 x[:, 0, 0] = 3.25  # ties and a partly constant row
                 got = StylePool(pooling)(Tensor(x, dtype=np.float64)).data
                 assert np.abs(got - loop_style_pool(x, pooling)).max() < 1e-6
+
+    @pytest.mark.parametrize("rows_per_block", [1, 4, None], ids=["one-row", "uneven", "whole"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pooling", [p for r in (1, 2, 3) for p in itertools.combinations(POOL_KINDS, r)
+                                         if "avg" in p or "std" in p], ids="-".join)
+    def test_blocked_rows_equal_unblocked_formulas(self, monkeypatch, pooling, dtype, rows_per_block):
+        """Forward values and input gradient bit for bit, whatever rows a block holds.
+
+        21 rows (N*C) of 30 values: one row per block, blocks of 3 and 4 rows
+        (``_PATCH_BYTES`` of 4 rows gives 6 near-equal blocks), and one block.
+        """
+        rng = np.random.default_rng(len(pooling))
+        x = (rng.normal(size=(3, 7, 5, 6)) * 2.0 + 5.0).astype(dtype)
+        x[0, 1] = 0.75  # a constant row
+        g = rng.normal(size=(3, 7, len(pooling))).astype(dtype)
+        if rows_per_block is not None:
+            monkeypatch.setattr(T, "_PATCH_BYTES", rows_per_block * 30 * x.itemsize)
+        want_out, want_gx = unblocked_style_pool(x, pooling, g)
+        with Tape() as tape:
+            out = T.style_pool(Tensor(x, requires_grad=True), pooling)
+        ((_, _, backward),) = tape._records
+        (gx,) = backward(g)
+        assert out.dtype == want_out.dtype and gx.dtype == want_gx.dtype
+        np.testing.assert_array_equal(out.data, want_out)
+        np.testing.assert_array_equal(gx, want_gx)
 
     def test_matches_global_pool_components(self):
         rng = np.random.default_rng(0)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import tracemalloc
 from dataclasses import asdict
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from style_recal.container import read_container, write_container
-from style_recal.data import Dataset, SynthStyleSpec, synth_style
+from style_recal.data import DataError, Dataset, SynthStyleSpec, synth_style
 from style_recal.models import ArchitectureConfig, StageSpec, build_resnet, cifar_resnet_config, named_config
 from style_recal.recalib import RecalibVariant
 from style_recal.tensor import Parameter, Tape, Tensor, cross_entropy
@@ -23,9 +24,12 @@ from style_recal.train import (
     save_checkpoint,
     step_schedule,
     _keep_freed_memory_mapped,
+    _model_state,
     train,
     write_metrics_csv,
 )
+
+train_module = importlib.import_module("style_recal.train")
 
 
 def tiny_cfg(recalib="srm"):
@@ -355,6 +359,31 @@ class TestTrainLoop:
         empty = Dataset(np.zeros((0, 3, 8, 8), np.float32), np.zeros(0, np.int64), "test", 4)
         with pytest.raises(ValueError, match="the test set is empty"):
             evaluate(build_resnet(tiny_cfg(), seed=0), empty)
+
+    @pytest.mark.parametrize("eval_set,message", [
+        (lambda: synth_style(SynthStyleSpec(per_class=2, size=8), "test"),
+         "the test set has 4 classes, more than the model's 2"),
+        (lambda: Dataset(np.zeros((0, 3, 8, 8), np.float32), np.zeros(0, np.int64), "test", 2),
+         "the test set is empty"),
+    ], ids=["too-many-classes", "empty"])
+    def test_unusable_eval_set_rejected_before_the_first_step(self, tmp_path, eval_set, message):
+        cfg = tiny_cfg()
+        cfg.num_classes = 2
+        model = build_resnet(cfg, seed=0)
+        before = {k: v.copy() for k, v in _model_state(model, None).items()}
+        two_classes = synth_style(SynthStyleSpec(num_classes=2, per_class=8, size=8))
+        run = TrainConfig(steps=4, batch_size=8, log_every=2, eval_every=2)
+        with pytest.raises(DataError, match=message):
+            train(model, two_classes, run, out_dir=tmp_path / "run", eval_dataset=eval_set())
+        assert not (tmp_path / "run").exists()
+        for k, v in _model_state(model, None).items():  # no step ran: parameters and BN statistics as built
+            np.testing.assert_array_equal(v, before[k], err_msg=k)
+
+    def test_eval_keeps_freed_memory_mapped(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(train_module, "_keep_freed_memory_mapped", lambda: calls.append(True))
+        evaluate(build_resnet(tiny_cfg(), seed=0), tiny_data(per_class=2))
+        assert calls == [True]
 
     def test_fifty_steps_learn_two_class_style_task(self):
         # Mean-separated two-class set; the styled 20-layer net should fit it
