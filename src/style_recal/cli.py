@@ -2,7 +2,8 @@
 
 Subcommands: train, eval, prune, analyze, complexity, gradcheck, synth.
 Configuration comes from JSON files with flags overriding file values; every
-run writes its fully resolved configuration (a manifest) next to its outputs.
+run writes its fully resolved configuration and the threads in effect (a
+manifest) next to its outputs.
 eval, prune and analyze build the model from the architecture the checkpoint records.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -31,6 +32,7 @@ from .data import (
 )
 from .gradcheck import SUITE_TOLERANCE, run_suite
 from .models import ArchitectureConfig, ResNet, build_resnet, named_config, parse_recalib
+from .tensor import _blas_threads, _eval_workers
 from .train import TrainConfig, config_hash, evaluate, load_checkpoint, load_model, train
 
 __all__ = ["main", "entry"]
@@ -73,8 +75,11 @@ def _load_data(path_flag: str | None, split: str) -> Dataset:
 
 
 def _write_manifest(out: Path, command: str, resolved: dict) -> None:
+    """The resolved configuration, plus the threads in effect: BLAS's (None for an unknown BLAS) and the
+    forward's span workers (1 runs the eval forwards serially)."""
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {"command": command, "version": __version__, "resolved_config": resolved}
+    threads = {"blas": _blas_threads(), "eval_workers": _eval_workers()}
+    manifest = {"command": command, "version": __version__, "resolved_config": resolved, "threads": threads}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 

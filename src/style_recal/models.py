@@ -20,7 +20,7 @@ import numpy as np
 
 from .layers import BatchNorm, Conv2d, Linear, MaxPool2d, Module, ModuleList, conv_bn, global_pool
 from .recalib import ChannelRecalib, RecalibVariant, StyleIntegration
-from .tensor import ShapeError, Tensor, _active_tape, _spans, relu
+from .tensor import ShapeError, Tensor, _active_tape, _run_spans, _spans, relu
 
 __all__ = [
     "StageSpec",
@@ -182,7 +182,8 @@ class ResidualBlock(Module):
         In eval mode with no active Tape (as in ``layers.conv_bn``) the tail
         after the gates is one pass: ``fmax(b * g + s, 0)``, or ``fmax(b + s,
         0)`` without recalibration, written into the block output a block of
-        about ``_PATCH_BYTES`` of images at a time. These are the float ops of
+        about ``_PATCH_BYTES`` of images at a time, through ``_run_spans``. The
+        gates are taken first, on the calling thread. These are the float ops of
         ``scale_channels``, ``add`` and ``relu`` in that order, with their
         dtype promotion, so the values are those of the separate ops, which
         train mode and taped forwards run.
@@ -198,14 +199,18 @@ class ResidualBlock(Module):
         s = self.shortcut(x).data
         b = b.data
         out = np.empty(b.shape, np.result_type(b, s) if g is None else np.result_type(b, g, s))
-        for lo, hi in _spans(len(out), out[0].nbytes):
-            o = out[lo:hi]
-            if g is None:
-                np.add(b[lo:hi], s[lo:hi], out=o)
-            else:
-                np.multiply(b[lo:hi], g[lo:hi, :, None, None], out=o)
-                o += s[lo:hi]
-            np.fmax(o, 0, out=o)
+
+        def tail(group):
+            for lo, hi in group:
+                o = out[lo:hi]
+                if g is None:
+                    np.add(b[lo:hi], s[lo:hi], out=o)
+                else:
+                    np.multiply(b[lo:hi], g[lo:hi, :, None, None], out=o)
+                    o += s[lo:hi]
+                np.fmax(o, 0, out=o)
+
+        _run_spans(_spans(len(out), out[0].nbytes), tail)
         return Tensor(out)
 
 

@@ -15,7 +15,10 @@ span of a ``with`` block.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
+import os
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -376,6 +379,81 @@ def _spans(count: int, item_bytes: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+# Threads that run the span loops of an untaped forward: None until the first
+# forward that could use them, then _eval_workers() sets it. The pool holds the
+# workers beyond the calling thread; a forked child drops its copy, which has
+# no threads.
+_WORKERS: int | None = None
+_POOL = None
+
+
+def _drop_pool() -> None:
+    global _POOL
+    _POOL = None
+
+
+os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _blas_threads() -> int | None:
+    """Threads of the OpenBLAS that numpy bundles, or None for any other BLAS."""
+    base = Path(np.__file__).parent
+    for lib in sorted(base.parent.glob("numpy.libs/*openblas*")) + sorted(base.glob(".libs/*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for sym in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(handle, sym, None)
+            if fn is not None:
+                fn.argtypes = ()
+                fn.restype = ctypes.c_int
+                return int(fn())
+    return None
+
+
+def _eval_workers() -> int:
+    """Usable CPUs // BLAS threads, at least 1, and 1 when the BLAS is unknown; worked out once."""
+    global _WORKERS
+    if _WORKERS is None:
+        blas = _blas_threads()
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        _WORKERS = max(1, cpus // blas) if blas else 1
+    return _WORKERS
+
+
+def _run_spans(spans: list[tuple[int, int]], run: Callable[[list[tuple[int, int]]], None]) -> None:
+    """``run(group)`` on contiguous groups of ``spans``, one group per worker thread.
+
+    ``run`` handles each span of its group in order and writes only that
+    span's rows of a preallocated output, into scratch of its own, so the
+    values are those of one ``run(spans)``. Under an active Tape, or with one
+    worker or one span, that is what runs. Otherwise the calling thread runs
+    the first group and the pool the rest, and the call returns, or raises
+    the first error in group order, only once every group has finished.
+    """
+    global _POOL
+    workers = 1 if len(spans) < 2 or _active_tape() is not None else _eval_workers()
+    if workers < 2:
+        run(spans)
+        return
+    if _POOL is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _POOL = ThreadPoolExecutor(workers - 1, thread_name_prefix="style_recal-spans")
+    parts = min(workers, len(spans))
+    groups = [spans[len(spans) * i // parts : len(spans) * (i + 1) // parts] for i in range(parts)]
+    futures = [_POOL.submit(run, group) for group in groups[1:]]
+    try:
+        run(groups[0])
+    finally:
+        for future in futures:
+            future.exception()  # waits, so no group still writes once the call is over
+    for future in futures:
+        future.result()
+
+
 def style_pool(x: Tensor, kinds) -> Tensor:
     """Per-example per-channel spatial statistics of an NCHW map, as one op.
 
@@ -397,7 +475,8 @@ def style_pool(x: Tensor, kinds) -> Tensor:
     squares the block in one block-sized scratch, and the backward writes
     each block of the input gradient in place. numpy sums every contiguous
     row pairwise whatever the number of rows, so the values are those of the
-    whole-map formulas, with no map-sized temporary.
+    whole-map formulas, with no map-sized temporary. The forward's blocks go
+    through ``_run_spans``, so an untaped forward may split them over threads.
     """
     x = _as_tensor(x)
     if x.ndim != 4:
@@ -415,11 +494,15 @@ def style_pool(x: Tensor, kinds) -> Tensor:
     out = np.empty((n * c, len(kinds)), dtype=x.dtype)
     if "std" in col:
         mu, var = np.empty((2, n * c), dtype=x.dtype)
-        scratch = np.empty((max(b - a for a, b in blocks), m), dtype=x.dtype)
-        for a, b in blocks:
-            mu[a:b] = rows[a:b].mean(axis=1)
-            xc = np.subtract(rows[a:b], mu[a:b, None], out=scratch[: b - a])
-            var[a:b] = np.multiply(xc, xc, out=xc).mean(axis=1)
+
+        def moments(group):
+            scratch = np.empty((max(b - a for a, b in group), m), dtype=x.dtype)
+            for a, b in group:
+                mu[a:b] = rows[a:b].mean(axis=1)
+                xc = np.subtract(rows[a:b], mu[a:b, None], out=scratch[: b - a])
+                var[a:b] = np.multiply(xc, xc, out=xc).mean(axis=1)
+
+        _run_spans(blocks, moments)
     elif "avg" in col:
         mu = rows.mean(axis=1)
     if "avg" in col:
@@ -523,8 +606,10 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0, *,
     time: the batch is split into ``ceil(whole-batch patch bytes /
     _PATCH_BYTES)`` near-equal slices (at most one per image), and each slice's
     gemm result is stored straight into the NCHW output. A conv whose whole
-    patch matrix fits in the budget is one slice. The backward walks the
-    slices last-to-first, and the weight gradient sums the per-slice terms.
+    patch matrix fits in the budget is one slice. The forward's slices go
+    through ``_run_spans``, so an untaped forward may split them over
+    threads. The backward walks the slices last-to-first on the calling
+    thread, and the weight gradient sums the per-slice terms.
 
     An inference epilogue may be given: per-output-channel ``scale`` and
     ``shift`` arrays, applied as ``y * scale + shift``, then ``fmax(y, 0)``
@@ -581,17 +666,21 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0, *,
     spans = _spans(n, cin * k * k * ho * wo * x.data.itemsize)
     w2 = weight.data.reshape(cout, cin * k * k)
     out = np.empty((n, cout, ho, wo), dtype=np.result_type(w2, x.data))
-    scratch = {}
-    for a, b in spans:
-        cols = _im2col(x.data[a:b], k, stride, padding, scratch)
-        y = w2 @ cols
-        if scale is not None:
-            y *= scale[:, None]
-        if shift is not None:
-            y += shift[:, None]
-        if relu:
-            np.fmax(y, 0, out=y)
-        out[a:b] = y.reshape(cout, b - a, ho, wo).transpose(1, 0, 2, 3)
+
+    def forward(group):
+        scratch = {}
+        for a, b in group:
+            cols = _im2col(x.data[a:b], k, stride, padding, scratch)
+            y = w2 @ cols
+            if scale is not None:
+                y *= scale[:, None]
+            if shift is not None:
+                y += shift[:, None]
+            if relu:
+                np.fmax(y, 0, out=y)
+            out[a:b] = y.reshape(cout, b - a, ho, wo).transpose(1, 0, 2, 3)
+
+    _run_spans(spans, forward)
     lower_g = stride == 1 and padding <= k - 1 and cout <= cin
 
     def backward(g):

@@ -265,6 +265,7 @@ def evaluate(model: ResNet, dataset: Dataset, batch_size: int = 256,
 # glibc mallopt parameters (malloc.h).
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 def _keep_freed_memory_mapped() -> bool:
@@ -275,7 +276,9 @@ def _keep_freed_memory_mapped() -> bool:
     memory to the kernel (mmap'd blocks at once, the heap top past a trim
     threshold), and the next step or batch faults every page in again. Blocks
     under 32 MiB come from the heap instead, and the heap is trimmed only past
-    1 GiB free at its top. The settings are process-wide.
+    1 GiB free at its top. The settings are process-wide. Threads share the one
+    arena, so a forward's span workers (``tensor._run_spans``) reuse the pages
+    the calling thread frees rather than growing an arena of their own.
     """
     try:
         libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
@@ -288,6 +291,7 @@ def _keep_freed_memory_mapped() -> bool:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    mallopt(_M_ARENA_MAX, 1)
     return True
 
 

@@ -4,10 +4,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines. Criteria 9 (full data-scale variant) and 10 (multi-hour training) are
 opt-in: they need real 32x32 batch data under STYLE_RECAL_DATA plus
 STYLE_RECAL_RUN_SOFT=1 / STYLE_RECAL_RUN_LONG=1 respectively; criterion 9
-otherwise runs a synthetic stand-in and reports the comparison.
+otherwise runs a synthetic stand-in and reports the comparison. Criteria 7
+and 9 run their independent trainings on two spawned processes (``in_workers``).
 """
 
 import math
+import multiprocessing
 import os
 import time
 import warnings
@@ -28,11 +30,37 @@ from style_recal.tensor import Tensor, relu, using_dtype
 from style_recal.train import TrainConfig, cifar_recipe, evaluate, train
 
 SYNTH_SPEC = SynthStyleSpec(seed=3)
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
     print(f"[criterion {criterion:2d}] {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {criterion}: {detail}"
+
+
+def in_workers(fn, calls: list[tuple]) -> list:
+    """``[fn(*args) for args in calls]`` on two spawned processes with one BLAS thread each.
+
+    Each call is an independent, deterministic training, so the results are
+    those of the serial loop. The children read the BLAS pin from the
+    environment they start with, before they import numpy; this process's
+    environment is restored as soon as they have started.
+    """
+    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        pool = multiprocessing.get_context("spawn").Pool(2)
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                del os.environ[var]
+            else:
+                os.environ[var] = value
+    try:
+        return pool.starmap(fn, calls, chunksize=1)
+    finally:
+        pool.terminate()
+        pool.join()
 
 
 def cifar_root() -> Path | None:
@@ -173,24 +201,27 @@ def _steps_to(rows, threshold):
     return None
 
 
+def _rows_until(seed, recalib, stop_at, train_set, test_set):
+    """Criterion 7's logged rows of one arm, which stops once its test accuracy reaches ``stop_at``."""
+    cfg = TrainConfig(steps=500, batch_size=32, lr=0.1, seed=seed, log_every=25, eval_every=25)
+    model = build_resnet(cifar_resnet_config(20, recalib=recalib, num_classes=4), seed=seed)
+    return train(model, train_set, cfg, eval_dataset=test_set,
+                 stop_when=lambda row: row.get("test_top1", 0.0) >= stop_at).rows
+
+
 def test_criterion_7_synthetic_style_task():
     t0 = time.time()
     train_set = synth_style(SYNTH_SPEC, "train")
     test_set = synth_style(SYNTH_SPEC, "test")
+    arms = [(seed, recalib, stop_at) for seed in (0, 1, 2) for recalib, stop_at in (("srm", 0.95), (None, 0.90))]
+    rows = in_workers(_rows_until, [arm + (train_set, test_set) for arm in arms])
 
     reached_95 = 0
     faster_to_90 = 0
     tied_at_90 = 0
     details = []
     for seed in (0, 1, 2):
-        outcomes = {}
-        for recalib, stop_at in (("srm", 0.95), (None, 0.90)):
-            cfg = TrainConfig(steps=500, batch_size=32, lr=0.1, seed=seed,
-                              log_every=25, eval_every=25)
-            model = build_resnet(cifar_resnet_config(20, recalib=recalib, num_classes=4), seed=seed)
-            result = train(model, train_set, cfg, eval_dataset=test_set,
-                           stop_when=lambda row: row.get("test_top1", 0.0) >= stop_at)
-            outcomes[recalib] = result.rows
+        outcomes = {recalib: r for (s, recalib, _), r in zip(arms, rows) if s == seed}
         srm_95 = _steps_to(outcomes["srm"], 0.95)
         srm_90 = _steps_to(outcomes["srm"], 0.90)
         base_90 = _steps_to(outcomes[None], 0.90)
@@ -248,20 +279,22 @@ def _style_probe_set():
     return synth_style(spec, "test")
 
 
+def _trained_ssc(recalib, train_set, capture_sets, arch_depth, steps, seed, num_classes):
+    """One arm of criterion 9: train, then the sum of squared gate correlations on each capture set."""
+    model = build_resnet(cifar_resnet_config(arch_depth, recalib=recalib, num_classes=num_classes), seed=seed)
+    cfg = TrainConfig(steps=steps, batch_size=32, lr=0.1, seed=seed, log_every=max(steps // 4, 1))
+    train(model, train_set, cfg)
+    model.eval()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # saturated-gate notices
+        return {name: sum_squared_corr(capture_record(model, ds, batch_size=128)) for name, ds in capture_sets.items()}
+
+
 def _matched_ssc(train_set, capture_sets, arch_depth, steps, seed, num_classes):
-    values = {}
-    for recalib in ("srm", "se:8"):
-        model = build_resnet(
-            cifar_resnet_config(arch_depth, recalib=recalib, num_classes=num_classes), seed=seed
-        )
-        cfg = TrainConfig(steps=steps, batch_size=32, lr=0.1, seed=seed, log_every=max(steps // 4, 1))
-        train(model, train_set, cfg)
-        model.eval()
-        values[recalib] = {
-            name: sum_squared_corr(capture_record(model, ds, batch_size=128))
-            for name, ds in capture_sets.items()
-        }
-    return values
+    arms = ("srm", "se:8")
+    values = in_workers(_trained_ssc, [(recalib, train_set, capture_sets, arch_depth, steps, seed, num_classes)
+                                       for recalib in arms])
+    return dict(zip(arms, values))
 
 
 def test_criterion_9_gate_decorrelation_soft():
@@ -277,10 +310,8 @@ def test_criterion_9_gate_decorrelation_soft():
         scale = "5k-image 32x32 subset, 8k steps"
     else:
         train_set = synth_style(SYNTH_SPEC, "train")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # saturated-gate notices
-            capture_sets = {"probe": _style_probe_set(), "class-set": synth_style(SYNTH_SPEC, "test")}
-            values = _matched_ssc(train_set, capture_sets, arch_depth=20, steps=200, seed=0, num_classes=4)
+        capture_sets = {"probe": _style_probe_set(), "class-set": synth_style(SYNTH_SPEC, "test")}
+        values = _matched_ssc(train_set, capture_sets, arch_depth=20, steps=200, seed=0, num_classes=4)
         primary = "probe"
         scale = "synthetic stand-in, 200 steps (set STYLE_RECAL_RUN_SOFT=1 with data for full scale)"
 

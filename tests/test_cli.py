@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from style_recal import tensor as T
 from style_recal.analysis import capture_record, correlation_matrix, prune_eval
 from style_recal.cli import build_parser, main
 from style_recal.container import read_container, write_container
@@ -343,6 +344,7 @@ class TestTrainEvalPipeline:
         manifest = json.loads((trained_run / "manifest.json").read_text())
         assert manifest["command"] == "train"
         assert "config_hash" in manifest["resolved_config"]
+        assert manifest["threads"] == {"blas": T._blas_threads(), "eval_workers": T._eval_workers()}
 
     def test_eval_checkpoint(self, trained_run, synth_dir, tmp_path_factory, capsys):
         rc = main([
@@ -367,6 +369,7 @@ class TestTrainEvalPipeline:
         assert main(["analyze", "--ckpt", folded, "--data", str(test), "--out", str(tmp_path / "analysis")]) == 0
         manifest = json.loads((tmp_path / "analysis" / "manifest.json").read_text())
         assert manifest["resolved_config"]["arch"]["recalib"]["use_bn"] is False
+        assert manifest["threads"] == {"blas": T._blas_threads(), "eval_workers": T._eval_workers()}
 
     def test_prune_csv_row_count(self, trained_run, synth_dir, tmp_path, capsys):
         rc = main([

@@ -1,7 +1,9 @@
 import functools
 import hashlib
 import json
+import multiprocessing
 import tracemalloc
+from concurrent.futures import Future
 from dataclasses import asdict
 
 import numpy as np
@@ -23,6 +25,7 @@ from style_recal.models import (
 )
 from style_recal.recalib import RecalibVariant
 from style_recal.tensor import Tape, Tensor, cross_entropy, relu
+from style_recal.train import TrainConfig, train
 
 
 def as_dataset(images: np.ndarray) -> Dataset:
@@ -457,3 +460,112 @@ class TestFusedEvalForward:
         assert grads.keys() == want_grads.keys() and "stem_conv.weight" in grads
         for name, g in want_grads.items():
             np.testing.assert_array_equal(grads[name], g, err_msg=name)
+
+
+def use_workers(monkeypatch, workers: int) -> None:
+    """Force the span worker count; Tier-1 runs with default BLAS threads, where it is 1 on most hosts."""
+    monkeypatch.setattr(T, "_WORKERS", workers)
+    monkeypatch.setattr(T, "_POOL", None)
+
+
+class InlinePool:
+    """Stands in for the span pool: runs each submitted group at once and counts the submissions."""
+
+    def __init__(self):
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+class TestPooledEvalForward:
+    """Untaped forwards split their span loops over worker threads; every value stays the serial one."""
+
+    RATIOS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+    @pytest.mark.parametrize("cfg,size", TestFusedEvalForward.CASES,
+                             ids=["resnet20", "resnet20-srm", "resnet20-se8", "bottleneck"])
+    @pytest.mark.parametrize("sliced", [False, True], ids=["whole", "sliced"])
+    def test_outputs_equal_the_serial_ones(self, monkeypatch, cfg, size, sliced):
+        model = build_resnet(cfg, seed=20)
+        randomize_bn(model, 21)
+        model.eval()
+        rng = np.random.default_rng(22)
+        images = rng.normal(size=(8, 3, size, size)).astype(np.float32)
+        data = Dataset(images, rng.integers(0, cfg.num_classes, size=8), "test", cfg.num_classes)
+        if sliced:
+            monkeypatch.setattr(T, "_PATCH_BYTES", 1)
+        stages = sorted({si for si, _, _ in model.recalib_layers()})
+        batch = 4 if sliced else 8  # a whole batch of 8 lowers its first stage's convs in two slices
+
+        def outputs(workers, folded):
+            use_workers(monkeypatch, workers)
+            out = {"logits": model(Tensor(images)).data}
+            if stages and not folded:
+                record = capture_record(model, data, batch_size=batch)
+                out.update({("gates", layer): record.gates[layer] for layer in record.layers})
+                for ratio in self.RATIOS:
+                    transform = prune_gate_transform(stages[-1], ratio)
+                    out["pruned", ratio] = model(Tensor(images), gate_transform=transform).data
+                    out["prune_eval", ratio] = prune_eval(model, data, stages[-1], ratio, batch_size=batch)
+            assert (T._POOL is not None) == (workers > 1)
+            return out
+
+        for folded in (False, True):
+            if folded:
+                model.fold_bn()
+            serial = outputs(1, folded)
+            for workers in (2, 3):
+                pooled = outputs(workers, folded)
+                assert pooled.keys() == serial.keys()
+                for key, want in serial.items():
+                    np.testing.assert_array_equal(pooled[key], want, err_msg=f"{key}, {workers} workers")
+
+    @pytest.mark.parametrize("recalib", ["none", "srm"])
+    def test_taped_forwards_and_train_steps_never_submit(self, monkeypatch, recalib):
+        model = build_resnet(small_cfg(recalib), seed=23)
+        rng = np.random.default_rng(24)
+        images = rng.normal(size=(8, 3, 8, 8)).astype(np.float32)
+        labels = rng.integers(0, 4, size=8)
+        monkeypatch.setattr(T, "_PATCH_BYTES", 1)
+        monkeypatch.setattr(T, "_WORKERS", 2)
+        pool = InlinePool()
+        monkeypatch.setattr(T, "_POOL", pool)
+        for mode in (model.train, model.eval):
+            mode()
+            with Tape() as tape:
+                loss = cross_entropy(model(Tensor(images)), labels)
+            tape.backward(loss)
+        train(model, Dataset(images, labels, "train", 4), TrainConfig(steps=2, batch_size=4, log_every=1))
+        assert pool.submitted == 0
+        model.eval()
+        model(Tensor(images))
+        assert pool.submitted > 0  # the stand-in is the pool an untaped eval forward uses
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method")
+    def test_forked_child_evaluates_after_a_pooled_eval(self, monkeypatch):
+        """A child inherits the pool object but not its threads; it must build its own, not wait forever."""
+        use_workers(monkeypatch, 2)
+        monkeypatch.setattr(T, "_PATCH_BYTES", 1)
+        model = build_resnet(small_cfg("srm"), seed=25).eval()
+        x = Tensor(np.random.default_rng(26).normal(size=(6, 3, 8, 8)).astype(np.float32))
+        want = model(x).data
+        assert T._POOL is not None
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=lambda: send.send(model(x).data))
+        child.start()
+        try:
+            assert receive.poll(30), "the forked child's eval did not finish within 30 s"
+            got = receive.recv()
+        finally:
+            child.kill()
+            child.join(10)
+        assert not child.is_alive()
+        np.testing.assert_array_equal(got, want)

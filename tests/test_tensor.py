@@ -1,4 +1,11 @@
+import contextlib
+import os
+import subprocess
+import sys
+import threading
+import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -655,3 +662,77 @@ class TestDtypeModes:
     def test_zero_extent_rejected(self):
         with pytest.raises(ShapeError, match="extents"):
             Tensor(np.zeros((2, 0, 3)))
+
+
+def use_workers(monkeypatch, workers: int) -> None:
+    """Force the span worker count; Tier-1 runs with default BLAS threads, where it is 1 on most hosts."""
+    monkeypatch.setattr(T, "_WORKERS", workers)
+    monkeypatch.setattr(T, "_POOL", None)
+
+
+class TestRunSpans:
+    SPANS = [(i, i + 1) for i in range(7)]
+
+    def test_contiguous_near_equal_groups_one_per_worker(self, monkeypatch):
+        use_workers(monkeypatch, 3)
+        seen = []
+        T._run_spans(self.SPANS, lambda group: seen.append((threading.get_ident(), group)))
+        assert sorted(group for _, group in seen) == [self.SPANS[:2], self.SPANS[2:4], self.SPANS[4:]]
+        caller = threading.get_ident()
+        assert [group for ident, group in seen if ident == caller] == [self.SPANS[:2]]
+
+    @pytest.mark.parametrize("why", ["one worker", "one span", "tape"])
+    def test_serial_on_the_calling_thread(self, monkeypatch, why):
+        use_workers(monkeypatch, 1 if why == "one worker" else 2)
+        spans = self.SPANS[:1] if why == "one span" else self.SPANS
+        seen = []
+        with Tape() if why == "tape" else contextlib.nullcontext():
+            T._run_spans(spans, lambda group: seen.append((threading.get_ident(), group)))
+        assert seen == [(threading.get_ident(), spans)]
+        assert T._POOL is None
+
+    @pytest.mark.parametrize("failing", [(0,), (1,), (1, 2)], ids=["caller", "worker", "two-workers"])
+    def test_first_error_reaches_the_caller_after_every_group(self, monkeypatch, failing):
+        use_workers(monkeypatch, 3)
+        finished = []
+
+        def run(group):
+            index = group[0][0] // 2
+            time.sleep(0.2 if index == 2 else 0.01)
+            if index in failing:
+                raise ValueError(f"group {index}")
+            finished.append(index)
+
+        with pytest.raises(ValueError, match=f"group {failing[0]}"):
+            T._run_spans(self.SPANS, run)
+        assert sorted(finished) == sorted({0, 1, 2} - set(failing))
+
+    @pytest.mark.parametrize("cpus,blas,workers", [(2, 1, 2), (2, 2, 1), (2, 3, 1), (2, None, 1), (4, 2, 2), (3, 2, 1)])
+    def test_worker_count(self, monkeypatch, cpus, blas, workers):
+        monkeypatch.setattr(T, "_WORKERS", None)
+        monkeypatch.setattr(T, "_blas_threads", lambda: blas)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert T._eval_workers() == workers
+
+    @pytest.mark.skipif(T._blas_threads() is None or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs numpy's bundled OpenBLAS and two usable CPUs")
+    @pytest.mark.parametrize("blas_threads", ["cpus", "1"])
+    def test_nothing_starts_before_a_forward_that_can_use_the_pool(self, blas_threads):
+        """Import starts no thread and imports no executor; a forward starts the pool only with 1-thread BLAS."""
+        probe = "\n".join([
+            "import sys, threading",
+            "import numpy as np",
+            "from style_recal import tensor as T",
+            "print(threading.active_count(), 'concurrent.futures' in sys.modules, T._WORKERS)",
+            "T._PATCH_BYTES = 1",
+            "T.conv2d(T.Tensor(np.ones((4, 2, 5, 5), np.float32)), T.Tensor(np.ones((3, 2, 3, 3), np.float32)))",
+            "print(T._blas_threads(), T._WORKERS, T._POOL is not None)",
+        ])
+        cpus = len(os.sched_getaffinity(0))
+        threads = cpus if blas_threads == "cpus" else 1
+        src = str(Path(T.__file__).parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["1 False None", f"{threads} {cpus // threads} {threads < cpus}"]
