@@ -58,7 +58,7 @@ def write_container(path: str | Path, entries: dict[str, np.ndarray], meta: dict
     buf.write(meta_bytes)
     buf.write(struct.pack("<I", len(entries)))
     for name, arr in entries.items():
-        arr = np.ascontiguousarray(arr)
+        arr = np.asarray(arr, order="C")  # keeps a 0-d array 0-d, where ascontiguousarray makes it (1,)
         dt = arr.dtype.newbyteorder("<") if arr.dtype.byteorder == ">" else arr.dtype
         arr = arr.astype(dt, copy=False)
         if arr.dtype not in _DTYPE_CODES:

@@ -34,6 +34,11 @@ def _sq_loss(out: Tensor) -> Tensor:
     return T.tsum(out * out)
 
 
+def _recalibrated(layer: ChannelRecalib, x: Tensor) -> Tensor:
+    """x scaled by its recalibration weights, as separate ops."""
+    return x * T.reshape(layer(x), (x.shape[0], x.shape[1], 1, 1))
+
+
 def _weighted_loss(rng: np.random.Generator, shape: tuple[int, ...]):
     """Random linear functional; avoids losses that BN makes input-invariant."""
     r = Tensor(rng.normal(size=shape), dtype=np.float64)
@@ -90,10 +95,12 @@ def default_checks() -> dict[str, Callable[[np.random.Generator], float]]:
         x = _t(rng, 2, 6)
         return T.grad_check(lambda ts: _sq_loss(T.reshape(ts[0], (3, 4))), [x])
 
-    @op("scale_channels")
-    def _scale(rng):
-        x, g = _t(rng, 2, 3, 4, 4), _t(rng, 2, 3)
-        return T.grad_check(lambda ts: _sq_loss(T.scale_channels(ts[0], ts[1])), [x, g])
+    @op("residual_relu")
+    def _residual_relu(rng):
+        b, g = _t(rng, 2, 3, 4, 4), _t(rng, 2, 3)
+        # The shortcut keeps every b * g + s at least 0.1 from the ReLU kink.
+        s = Tensor(_t(rng, 2, 3, 4, 4, offset=0.1).data - b.data * g.data[:, :, None, None], dtype=np.float64)
+        return T.grad_check(lambda ts: _sq_loss(T.residual_relu(*ts)), [b, s, g])
 
     @op("conv2d")
     def _conv(rng):
@@ -189,7 +196,7 @@ def default_checks() -> dict[str, Callable[[np.random.Generator], float]]:
         x = _t(rng, 2, 4, 3, 3)
         loss = _weighted_loss(rng, (2, 4, 3, 3))
         params = [x] + layer.parameters()
-        return T.grad_check(lambda ts: loss(layer(ts[0])), params, eps=1e-4)
+        return T.grad_check(lambda ts: loss(_recalibrated(layer, ts[0])), params, eps=1e-4)
 
     @op("se_block")
     def _se(rng):
@@ -201,7 +208,7 @@ def default_checks() -> dict[str, Callable[[np.random.Generator], float]]:
         x = _t(rng, 2, 8, 3, 3)
         loss = _weighted_loss(rng, (2, 8, 3, 3))
         params = [x] + layer.parameters()
-        return T.grad_check(lambda ts: loss(layer(ts[0])), params, eps=1e-4)
+        return T.grad_check(lambda ts: loss(_recalibrated(layer, ts[0])), params, eps=1e-4)
 
     @op("mlp_bn_variant")
     def _mlp_bn(rng):
@@ -219,7 +226,7 @@ def default_checks() -> dict[str, Callable[[np.random.Generator], float]]:
         others = [x] + [p for p in layer.parameters() if all(p is not b for b in biases)]
         for b in biases:
             b.grad = None
-        err = T.grad_check(lambda ts: loss(layer(ts[0])), others, eps=1e-4)
+        err = T.grad_check(lambda ts: loss(_recalibrated(layer, ts[0])), others, eps=1e-4)
         scale = max(float(np.abs(t.grad).max()) for t in others)
         return max(err, max(float(np.abs(b.grad).max()) for b in biases) / scale)
 
@@ -230,7 +237,7 @@ def default_checks() -> dict[str, Callable[[np.random.Generator], float]]:
         x = _t(rng, 2, 4, 3, 3)
         loss = _weighted_loss(rng, (2, 4, 3, 3))
         params = [x] + layer.parameters()
-        return T.grad_check(lambda ts: loss(layer(ts[0])), params, eps=1e-4)
+        return T.grad_check(lambda ts: loss(_recalibrated(layer, ts[0])), params, eps=1e-4)
 
     return checks
 

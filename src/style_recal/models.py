@@ -20,7 +20,7 @@ import numpy as np
 
 from .layers import BatchNorm, Conv2d, Linear, MaxPool2d, Module, ModuleList, conv_bn, global_pool
 from .recalib import ChannelRecalib, RecalibVariant, StyleIntegration
-from .tensor import ShapeError, Tensor, _active_tape, _run_spans, _spans, relu
+from .tensor import Tensor, residual_relu
 
 __all__ = [
     "StageSpec",
@@ -127,10 +127,6 @@ def parse_recalib(spec) -> RecalibVariant | None:
     raise ValueError(f"unknown recalib spec {spec!r}")
 
 
-def _gate_cb(gate_transform: GateTransform | None, stage_idx: int, block_idx: int):
-    return functools.partial(gate_transform, stage_idx, block_idx) if gate_transform is not None else None
-
-
 class ResidualBlock(Module):
     """Residual skeleton: a branch of (conv, BN) pairs with a ReLU between pairs,
     an optional recalibration layer after the last BN, and a shortcut that is the
@@ -177,41 +173,14 @@ class ResidualBlock(Module):
         return conv_bn(self.proj_conv, self.proj_bn, x)
 
     def forward(self, x: Tensor, gate_cb=None) -> Tensor:
-        """``relu(recalib(branch(x)) + shortcut(x))``.
+        """``relu(branch(x) * gates + shortcut(x))`` as one ``residual_relu`` op in every mode.
 
-        In eval mode with no active Tape (as in ``layers.conv_bn``) the tail
-        after the gates is one pass: ``fmax(b * g + s, 0)``, or ``fmax(b + s,
-        0)`` without recalibration, written into the block output a block of
-        about ``_PATCH_BYTES`` of images at a time, through ``_run_spans``. The
-        gates are taken first, on the calling thread. These are the float ops of
-        ``scale_channels``, ``add`` and ``relu`` in that order, with their
-        dtype promotion, so the values are those of the separate ops, which
-        train mode and taped forwards run.
+        The gates are the recalibration layer's on the branch output, or
+        ``gate_cb``'s replacement; a block without the layer has none.
         """
         b = self.branch(x)
-        if self.training or _active_tape() is not None:
-            if self.recalib is not None:
-                b = self.recalib(b, gate_cb)
-            return relu(b + self.shortcut(x))
-        g = self.recalib.gates(b, gate_cb).data if self.recalib is not None else None
-        if g is not None and g.shape != b.shape[:2]:
-            raise ShapeError(f"recalib: gates {g.shape} do not match the map {b.shape}")
-        s = self.shortcut(x).data
-        b = b.data
-        out = np.empty(b.shape, np.result_type(b, s) if g is None else np.result_type(b, g, s))
-
-        def tail(group):
-            for lo, hi in group:
-                o = out[lo:hi]
-                if g is None:
-                    np.add(b[lo:hi], s[lo:hi], out=o)
-                else:
-                    np.multiply(b[lo:hi], g[lo:hi, :, None, None], out=o)
-                    o += s[lo:hi]
-                np.fmax(o, 0, out=o)
-
-        _run_spans(_spans(len(out), out[0].nbytes), tail)
-        return Tensor(out)
+        g = self.recalib(b, gate_cb) if self.recalib is not None else None
+        return residual_relu(b, self.shortcut(x), g)
 
 
 class BasicBlock(ResidualBlock):
@@ -263,21 +232,16 @@ class ResNet(Module):
             h = self.stem_pool(h)
         return h
 
-    def run_stage(self, stage_idx: int, h: Tensor, gate_transform: GateTransform | None = None) -> Tensor:
-        for block_idx, block in enumerate(self.stages[stage_idx]):
-            h = block(h, _gate_cb(gate_transform, stage_idx, block_idx))
-        return h
-
     def forward(self, x: Tensor, gate_transform: GateTransform | None = None) -> Tensor:
         """Logits; ``gate_transform(stage, block, gates)`` may read or replace each layer's gates.
 
-        The blocks run in one loop rather than stage by stage through ``run_stage``, whose
-        caller would hold each stage's input map until the whole stage had run.
+        The blocks run in one loop, so no frame holds a stage's input map while the stage runs.
         """
         h = self.stem(x)
         for stage_idx, stage in enumerate(self.stages):
             for block_idx, block in enumerate(stage):
-                h = block(h, _gate_cb(gate_transform, stage_idx, block_idx))
+                cb = functools.partial(gate_transform, stage_idx, block_idx) if gate_transform is not None else None
+                h = block(h, cb)
         return self.classifier(global_pool(h, "avg"))
 
     def recalib_layers(self) -> list[tuple[int, int, ChannelRecalib]]:

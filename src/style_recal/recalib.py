@@ -4,7 +4,7 @@ The canonical style recalibrator pools each channel's spatial activations to
 global statistics (mean and standard deviation), maps them through a
 channel-wise fully connected layer (one tiny d -> 1 linear map per channel,
 no cross-channel weights), normalizes over the batch, and squashes to a
-per-channel gate in (0, 1) that rescales the channel.
+per-channel gate in (0, 1); the residual block rescales the channel by it.
 
 Also provided: the squeeze-and-excitation block (global average pool plus a
 bottleneck MLP shared across channels), every pooling/integration ablation
@@ -30,7 +30,6 @@ from .tensor import (
     get_default_dtype,
     relu,
     reshape,
-    scale_channels,
     sigmoid,
     style_pool,
     tsum,
@@ -202,7 +201,7 @@ class MlpIntegration(Module):
 
 
 class ChannelRecalib(Module):
-    """Full recalibration layer: style pooling -> integration -> channel gate."""
+    """Full recalibration layer: style pooling -> integration -> per-channel gates."""
 
     def __init__(self, channels: int, variant: RecalibVariant,
                  rng: np.random.Generator | None = None):
@@ -216,12 +215,14 @@ class ChannelRecalib(Module):
                 channels, variant.d, reduction=variant.se_reduction, use_bn=variant.use_bn, rng=rng
             )
 
-    def gates(self, x: Tensor, gate_cb=None) -> Tensor:
-        """Per-example per-channel weights of shape (N, C), each in (0, 1).
+    def forward(self, x: Tensor, gate_cb=None) -> Tensor:
+        """The recalibration weights of x: per-example per-channel gates of shape (N, C), each in (0, 1).
 
-        ``gate_cb`` maps the gate array to replacement gates, which are
-        returned instead. They are constants, so a callback is refused where
-        the gates would otherwise carry a gradient (an active Tape).
+        A block applies them with ``residual_relu``; on their own they scale
+        x by ``mul(x, reshape(gates, (N, C, 1, 1)))``. ``gate_cb`` maps the
+        gate array to replacement gates, which are returned instead. They are
+        constants, so a callback is refused where the gates would otherwise
+        carry a gradient (an active Tape).
         """
         if x.ndim != 4 or x.shape[1] != self.channels:
             raise ShapeError(f"recalib: expected (N, {self.channels}, H, W), got {x.shape}")
@@ -232,7 +233,3 @@ class ChannelRecalib(Module):
             raise RuntimeError("recalib: gate_cb under an active Tape would cut the gate gradient; "
                                "run gate callbacks without a Tape")
         return Tensor(gate_cb(g.data))
-
-    def forward(self, x: Tensor, gate_cb=None) -> Tensor:
-        """Rescale x by its gates, replaced by ``gate_cb``'s if given (see :meth:`gates`)."""
-        return scale_channels(x, self.gates(x, gate_cb))

@@ -39,7 +39,7 @@ __all__ = [
     "tsum",
     "reshape",
     "style_pool",
-    "scale_channels",
+    "residual_relu",
     "conv2d",
     "maxpool2d",
     "batch_norm_train",
@@ -364,7 +364,7 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
 
 
 # Working-set bytes of one block: the patch matrix that conv2d lowers at once,
-# the rows style_pool centres at once, and the images of an eval residual tail.
+# the rows style_pool centres at once, and the images residual_relu writes at once.
 # About half of a 2 MiB per-core L2, so a block stays in cache between passes.
 _PATCH_BYTES = 1 << 20
 
@@ -537,19 +537,48 @@ def style_pool(x: Tensor, kinds) -> Tensor:
     return _make(out[..., 0] if squeeze else out, (x,), backward)
 
 
-def scale_channels(x: Tensor, g: Tensor) -> Tensor:
-    """Multiply an NCHW map by per-example per-channel weights of shape (N, C)."""
-    x = _as_tensor(x)
-    g = _as_tensor(g)
-    if x.ndim != 4 or g.ndim != 2 or x.shape[:2] != g.shape:
-        raise ShapeError(f"scale_channels: map {x.shape} vs weights {g.shape}")
-    gb = g.data[:, :, None, None]
-    out = x.data * gb
+def residual_relu(b: Tensor, s: Tensor, g: Tensor | None = None) -> Tensor:
+    """A residual block's output as one op: ``relu(b * g + s)`` for an NCHW branch ``b``, a
+    shortcut ``s`` of its shape and (N, C) gates ``g``, or ``relu(b + s)`` without gates.
+
+    The output is written ``fmax(b * g + s, 0)`` in place, a block of about
+    ``_PATCH_BYTES`` of images at a time, through ``_run_spans``: the float ops
+    of a channel-scaling ``mul``, ``add`` and ``relu`` in that order, with their
+    dtype promotion, so the values are those of the separate ops. The backward
+    masks once, ``m = grad * (out > 0)``, and computes the separate ops'
+    expressions: ``s`` gets ``m``, ``b`` gets ``m * g`` and ``g`` the per-channel
+    sums of ``m * b``. It keeps ``b`` only when there are gates.
+    """
+    b, s = _as_tensor(b), _as_tensor(s)
+    g = None if g is None else _as_tensor(g)
+    if b.ndim != 4 or s.shape != b.shape or (g is not None and g.shape != b.shape[:2]):
+        raise ShapeError(f"residual_relu: branch {b.shape}, shortcut {s.shape} and gates "
+                         f"{None if g is None else g.shape} do not match")
+    bd, sd = b.data, s.data
+    gb = None if g is None else g.data[:, :, None, None]
+    out = np.empty(bd.shape, np.result_type(bd, sd) if gb is None else np.result_type(bd, gb, sd))
+
+    def tail(group):
+        for lo, hi in group:
+            o = out[lo:hi]
+            if gb is None:
+                np.add(bd[lo:hi], sd[lo:hi], out=o)
+            else:
+                np.multiply(bd[lo:hi], gb[lo:hi], out=o)
+                o += sd[lo:hi]
+            np.fmax(o, 0, out=o)
+
+    _run_spans(_spans(len(out), out[0].nbytes), tail)
+    if g is None:
+        bd = None  # the backward's closure then keeps only the output
 
     def backward(grad):
-        return grad * gb, np.einsum("nchw,nchw->nc", grad, x.data)
+        m = grad * (out > 0)
+        if g is None:
+            return m, m
+        return m * gb, m, np.einsum("nchw,nchw->nc", m, bd)
 
-    return _make(out, (x, g), backward)
+    return _make(out, (b, s) if g is None else (b, s, g), backward)
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, padding: int, scratch: dict | None = None):

@@ -224,7 +224,7 @@ def _apply_state(model: ResNet, opt: SGD | None, entries: dict[str, np.ndarray],
     saved = {k: v for k, v in entries.items() if opt is not None or not k.startswith("opt.")}
     missing = sorted(targets.keys() - saved.keys())
     unexpected = sorted(saved.keys() - targets.keys())
-    # The container stores a 0-d array with shape (1,).
+    # Checkpoints written before the container kept ndim 0 store a 0-d array with shape (1,).
     mismatched = [f"{k} {saved[k].shape} vs {v.shape}" for k, v in targets.items()
                   if k in saved and np.atleast_1d(saved[k]).shape != np.atleast_1d(v).shape]
     if missing or unexpected or mismatched:

@@ -8,6 +8,7 @@ otherwise runs a synthetic stand-in and reports the comparison. Criteria 7
 and 9 run their independent trainings on two spawned processes (``in_workers``).
 """
 
+import functools
 import math
 import multiprocessing
 import os
@@ -186,7 +187,10 @@ def test_criterion_6_pruning_limits():
     # Ratio 1 on the identity-shortcut stage: tensor-level identity per block chain.
     x = Tensor(data.images[:64])
     h = relu(model.stem(x))
-    out = model.run_stage(0, h, gate_transform=prune_gate_transform(stage=0, ratio=1.0))
+    transform = prune_gate_transform(stage=0, ratio=1.0)
+    out = h
+    for block_idx, block in enumerate(model.stages[0]):
+        out = block(out, functools.partial(transform, 0, block_idx))
     max_dev = float(np.abs(out.data - h.data).max())
 
     ok = pruned0 == plain and max_dev == 0.0

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -225,7 +227,9 @@ class TestPruning:
         x = Tensor(data.images[:8])
         h = relu(model.stem(x))  # stem already ends in relu; idempotent
         transform = prune_gate_transform(stage=0, ratio=1.0)
-        out = model.run_stage(0, h, gate_transform=transform)
+        out = h
+        for block_idx, block in enumerate(model.stages[0]):
+            out = block(out, functools.partial(transform, 0, block_idx))
         assert np.abs(out.data - h.data).max() == 0.0
 
 

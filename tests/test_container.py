@@ -40,6 +40,14 @@ def test_roundtrip_bitwise(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_zero_d_entry_round_trips_as_zero_d(tmp_path):
+    path = tmp_path / "z.bin"
+    write_container(path, {"step": np.array(7, dtype=np.int64), "one": np.array([2.5], dtype=np.float32)})
+    loaded, _ = read_container(path)
+    assert loaded["step"].shape == () and loaded["step"] == 7
+    assert loaded["one"].shape == (1,)
+
+
 def test_write_deterministic(tmp_path):
     entries = {"x": np.arange(6, dtype=np.float32).reshape(2, 3)}
     p1, p2 = tmp_path / "1.bin", tmp_path / "2.bin"

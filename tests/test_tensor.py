@@ -388,11 +388,57 @@ class TestElementwiseAndReductions:
         with pytest.raises(ShapeError):
             T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
 
-    def test_scale_channels_zeroes_and_doubles(self):
+    def test_residual_relu_zeroes_and_doubles(self):
         x = Tensor(np.ones((1, 3, 2, 2)))
         g = Tensor(np.array([[1.0, 0.0, 2.0]]))
-        out = T.scale_channels(x, g).data
+        out = T.residual_relu(x, Tensor(np.zeros((1, 3, 2, 2))), g).data
         assert (out[0, 0] == 1).all() and (out[0, 1] == 0).all() and (out[0, 2] == 2).all()
+
+
+class TestResidualRelu:
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_values_and_gradients_equal_the_separate_ops(self, gated):
+        rng = np.random.default_rng(0)
+        b, s = (rng.normal(size=(3, 4, 5, 5)).astype(np.float32) for _ in range(2))
+        g = rng.uniform(0.1, 0.9, size=(3, 4)).astype(np.float32) if gated else None
+        r = Tensor(rng.normal(size=(3, 4, 5, 5)).astype(np.float32))
+        runs = []
+        for fused in (True, False):
+            bt, st = Tensor(b, requires_grad=True), Tensor(s, requires_grad=True)
+            gt = Tensor(g, requires_grad=True) if gated else None
+            with Tape() as tape:
+                if fused:
+                    out = T.residual_relu(bt, st, gt)
+                else:
+                    out = T.relu((bt * T.reshape(gt, (3, 4, 1, 1)) if gated else bt) + st)
+                loss = T.tsum(out * r)
+            tape.backward(loss)
+            runs.append((out.data, bt.grad, st.grad, gt.grad if gated else None))
+        (out, gb, gs, gg), (want, want_b, want_s, want_g) = runs
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(gb, want_b)
+        np.testing.assert_array_equal(gs, want_s)
+        if gated:  # the separate ops sum the gate gradient by axes, the op by einsum
+            np.testing.assert_allclose(gg, want_g, rtol=1e-5)
+
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_backward_keeps_the_branch_only_with_gates(self, gated):
+        rng = np.random.default_rng(1)
+        b = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+        s = Tensor(rng.normal(size=(2, 3, 4, 4)))
+        g = Tensor(rng.uniform(size=(2, 3)), requires_grad=True) if gated else None
+        with Tape() as tape:
+            T.residual_relu(b, s, g)
+        ((_, _, backward),) = tape._records
+        held = [cell.cell_contents for cell in backward.__closure__]
+        assert any(h is b.data for h in held) == gated
+
+    def test_mismatched_shapes_rejected(self):
+        b = Tensor(np.zeros((2, 3, 4, 4)))
+        with pytest.raises(ShapeError, match="gates"):
+            T.residual_relu(b, b, Tensor(np.zeros((2, 4))))
+        with pytest.raises(ShapeError, match="shortcut"):
+            T.residual_relu(b, Tensor(np.zeros((2, 3, 2, 2))))
 
 
 class TestStylePool:

@@ -454,6 +454,23 @@ class TestArchitectureInMeta:
         images = Tensor(tiny_data(seed=1).images[:16])
         np.testing.assert_array_equal(loaded(images).data, model(images).data)
 
+    def test_checkpoint_with_scalars_stored_as_one_element_loads(self, tmp_path):
+        """Checkpoints written while the container stored 0-d arrays as shape (1,) still load."""
+        model = build_resnet(tiny_cfg(), seed=0)
+        train(model, tiny_data(), TrainConfig(steps=2, batch_size=8, lr=0.05, seed=0, log_every=2), out_dir=tmp_path)
+        save_checkpoint(tmp_path / "c.bin", model, None, 2, "h")
+        entries, meta = read_container(tmp_path / "c.bin")
+        scalars = [k for k, v in entries.items() if v.ndim == 0]
+        assert scalars and all(k.endswith(".num_batches") for k in scalars)
+        write_container(tmp_path / "old.bin", {k: v.reshape(-1) if v.ndim == 0 else v for k, v in entries.items()},
+                        meta)
+        loaded = load_model(tmp_path / "old.bin")
+        for (name, b), (_, c) in zip(model.named_buffers(), loaded.named_buffers()):
+            assert c.shape == b.shape, name
+            np.testing.assert_array_equal(c, b, err_msg=name)
+        for (name, p), (_, q) in zip(model.named_parameters(), loaded.named_parameters()):
+            np.testing.assert_array_equal(q.data, p.data, err_msg=name)
+
     def test_checkpoint_without_arch_names_the_file(self, tmp_path):
         model = build_resnet(tiny_cfg(), seed=0)
         entries = {"param." + n: p.data for n, p in model.named_parameters()}
