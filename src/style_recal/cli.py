@@ -32,7 +32,7 @@ from .data import (
 )
 from .gradcheck import SUITE_TOLERANCE, run_suite
 from .models import ArchitectureConfig, ResNet, build_resnet, named_config, parse_recalib
-from .tensor import _blas_threads, _eval_workers
+from .tensor import _blas_threads, _span_workers
 from .train import TrainConfig, config_hash, evaluate, load_checkpoint, load_model, train
 
 __all__ = ["main", "entry"]
@@ -76,9 +76,9 @@ def _load_data(path_flag: str | None, split: str) -> Dataset:
 
 def _write_manifest(out: Path, command: str, resolved: dict) -> None:
     """The resolved configuration, plus the threads in effect: BLAS's (None for an unknown BLAS) and the
-    forward's span workers (1 runs the eval forwards serially)."""
+    span workers of forwards and backwards (1 runs them serially)."""
     out.mkdir(parents=True, exist_ok=True)
-    threads = {"blas": _blas_threads(), "eval_workers": _eval_workers()}
+    threads = {"blas": _blas_threads(), "span_workers": _span_workers()}
     manifest = {"command": command, "version": __version__, "resolved_config": resolved, "threads": threads}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 

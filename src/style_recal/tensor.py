@@ -379,10 +379,10 @@ def _spans(count: int, item_bytes: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-# Threads that run the span loops of an untaped forward: None until the first
-# forward that could use them, then _eval_workers() sets it. The pool holds the
-# workers beyond the calling thread; a forked child drops its copy, which has
-# no threads.
+# Threads that run the span loops of forwards and conv and pooling backwards:
+# None until the first loop that could use them, then _span_workers() sets it.
+# The pool holds the workers beyond the calling thread; a forked child drops its
+# copy, which has no threads.
 _WORKERS: int | None = None
 _POOL = None
 
@@ -413,7 +413,7 @@ def _blas_threads() -> int | None:
     return None
 
 
-def _eval_workers() -> int:
+def _span_workers() -> int:
     """Usable CPUs // BLAS threads, at least 1, and 1 when the BLAS is unknown; worked out once."""
     global _WORKERS
     if _WORKERS is None:
@@ -427,14 +427,15 @@ def _run_spans(spans: list[tuple[int, int]], run: Callable[[list[tuple[int, int]
     """``run(group)`` on contiguous groups of ``spans``, one group per worker thread.
 
     ``run`` handles each span of its group in order and writes only that
-    span's rows of a preallocated output, into scratch of its own, so the
-    values are those of one ``run(spans)``. Under an active Tape, or with one
-    worker or one span, that is what runs. Otherwise the calling thread runs
-    the first group and the pool the rest, and the call returns, or raises
-    the first error in group order, only once every group has finished.
+    span's rows of a preallocated output, or that span's entry of a list,
+    into scratch of its own, so the values are those of one ``run(spans)``,
+    with or without an active Tape. With one worker or one span, that is
+    what runs. Otherwise the calling thread runs the first group and the pool
+    the rest, and the call returns, or raises the first error in group order,
+    only once every group has finished.
     """
     global _POOL
-    workers = 1 if len(spans) < 2 or _active_tape() is not None else _eval_workers()
+    workers = 1 if len(spans) < 2 else _span_workers()
     if workers < 2:
         run(spans)
         return
@@ -475,8 +476,8 @@ def style_pool(x: Tensor, kinds) -> Tensor:
     squares the block in one block-sized scratch, and the backward writes
     each block of the input gradient in place. numpy sums every contiguous
     row pairwise whatever the number of rows, so the values are those of the
-    whole-map formulas, with no map-sized temporary. The forward's blocks go
-    through ``_run_spans``, so an untaped forward may split them over threads.
+    whole-map formulas, with no map-sized temporary. Both passes' blocks go
+    through ``_run_spans``, so they may be split over threads.
     """
     x = _as_tensor(x)
     if x.ndim != 4:
@@ -521,11 +522,15 @@ def style_pool(x: Tensor, kinds) -> Tensor:
             gx = np.empty((n * c, m), dtype=x.dtype)
             g_std = g[:, col["std"]] / (m * sigma)
             g_avg = g[:, col["avg"]] / m if "avg" in col else None
-            for a, b in blocks:
-                block = np.subtract(rows[a:b], mu[a:b, None], out=gx[a:b])
-                block *= g_std[a:b, None]
-                if g_avg is not None:
-                    block += g_avg[a:b, None]
+
+            def centred(group):
+                for a, b in group:
+                    block = np.subtract(rows[a:b], mu[a:b, None], out=gx[a:b])
+                    block *= g_std[a:b, None]
+                    if g_avg is not None:
+                        block += g_avg[a:b, None]
+
+            _run_spans(blocks, centred)
         elif "avg" in col:
             gx = np.broadcast_to((g[:, col["avg"]] / m)[:, None], (n * c, m)).copy()
         else:
@@ -635,10 +640,12 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0, *,
     time: the batch is split into ``ceil(whole-batch patch bytes /
     _PATCH_BYTES)`` near-equal slices (at most one per image), and each slice's
     gemm result is stored straight into the NCHW output. A conv whose whole
-    patch matrix fits in the budget is one slice. The forward's slices go
-    through ``_run_spans``, so an untaped forward may split them over
-    threads. The backward walks the slices last-to-first on the calling
-    thread, and the weight gradient sums the per-slice terms.
+    patch matrix fits in the budget is one slice. The forward's and the
+    backward's slices go through ``_run_spans``, so they may be split over
+    threads. The backward keeps each slice's weight-gradient term, and the
+    calling thread sums them last slice first, the order of a serial walk,
+    so the weight gradient does not depend on how the slices are grouped
+    over threads.
 
     An inference epilogue may be given: per-output-channel ``scale`` and
     ``shift`` arrays, applied as ``y * scale + shift``, then ``fmax(y, 0)``
@@ -716,29 +723,37 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0, *,
         gx = np.empty(x.shape, dtype=g.dtype) if x.requires_grad else None
         if lower_g:
             wf = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
-        gwt = None
-        scratch = {}
-        for a, b in reversed(spans):
-            if lower_g:
-                gcols = _im2col(g[a:b], k, 1, k - 1 - padding, scratch)
-                x2 = np.ascontiguousarray(x.data[a:b].transpose(1, 0, 2, 3)).reshape(cin, (b - a) * h * w)
-                term = gcols @ x2.T
-            else:
-                cols = _im2col(x.data[a:b], k, stride, padding, scratch)
-                g2 = np.ascontiguousarray(g[a:b].transpose(1, 0, 2, 3)).reshape(cout, (b - a) * ho * wo)
-                term = cols @ g2.T
-            gwt = term if gwt is None else gwt + term
-            if gx is None:
-                continue
-            if lower_g:
-                gx[a:b] = (wf @ gcols).reshape(cin, b - a, h, w).transpose(1, 0, 2, 3)
-            else:
-                gcols = (w2.T @ g2).reshape(cin, k, k, b - a, ho, wo)
-                gxt = np.zeros((cin, b - a, hp, wp), dtype=g.dtype)
-                for i in range(k):
-                    for j in range(k):
-                        gxt[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, i, j]
-                gx[a:b] = gxt[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3)
+        terms = [None] * len(spans)
+
+        def slices(group):
+            first = spans.index(group[0])
+            scratch = {}
+            for at in reversed(range(first, first + len(group))):
+                a, b = spans[at]
+                if lower_g:
+                    gcols = _im2col(g[a:b], k, 1, k - 1 - padding, scratch)
+                    x2 = np.ascontiguousarray(x.data[a:b].transpose(1, 0, 2, 3)).reshape(cin, (b - a) * h * w)
+                    terms[at] = gcols @ x2.T
+                else:
+                    cols = _im2col(x.data[a:b], k, stride, padding, scratch)
+                    g2 = np.ascontiguousarray(g[a:b].transpose(1, 0, 2, 3)).reshape(cout, (b - a) * ho * wo)
+                    terms[at] = cols @ g2.T
+                if gx is None:
+                    continue
+                if lower_g:
+                    gx[a:b] = (wf @ gcols).reshape(cin, b - a, h, w).transpose(1, 0, 2, 3)
+                else:
+                    gcols = (w2.T @ g2).reshape(cin, k, k, b - a, ho, wo)
+                    gxt = np.zeros((cin, b - a, hp, wp), dtype=g.dtype)
+                    for i in range(k):
+                        for j in range(k):
+                            gxt[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, i, j]
+                    gx[a:b] = gxt[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3)
+
+        _run_spans(spans, slices)
+        gwt = terms.pop()
+        while terms:  # a left fold from the last slice, as one serial walk sums them
+            gwt = gwt + terms.pop()
         if lower_g:
             gw = gwt.reshape(cout, k, k, cin)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
         else:

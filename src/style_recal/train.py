@@ -277,7 +277,7 @@ def _keep_freed_memory_mapped() -> bool:
     threshold), and the next step or batch faults every page in again. Blocks
     under 32 MiB come from the heap instead, and the heap is trimmed only past
     1 GiB free at its top. The settings are process-wide. Threads share the one
-    arena, so a forward's span workers (``tensor._run_spans``) reuse the pages
+    arena, so the span workers (``tensor._run_spans``) reuse the pages
     the calling thread frees rather than growing an arena of their own.
     """
     try:

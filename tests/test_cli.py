@@ -344,7 +344,7 @@ class TestTrainEvalPipeline:
         manifest = json.loads((trained_run / "manifest.json").read_text())
         assert manifest["command"] == "train"
         assert "config_hash" in manifest["resolved_config"]
-        assert manifest["threads"] == {"blas": T._blas_threads(), "eval_workers": T._eval_workers()}
+        assert manifest["threads"] == {"blas": T._blas_threads(), "span_workers": T._span_workers()}
 
     def test_eval_checkpoint(self, trained_run, synth_dir, tmp_path_factory, capsys):
         rc = main([
@@ -369,7 +369,7 @@ class TestTrainEvalPipeline:
         assert main(["analyze", "--ckpt", folded, "--data", str(test), "--out", str(tmp_path / "analysis")]) == 0
         manifest = json.loads((tmp_path / "analysis" / "manifest.json").read_text())
         assert manifest["resolved_config"]["arch"]["recalib"]["use_bn"] is False
-        assert manifest["threads"] == {"blas": T._blas_threads(), "eval_workers": T._eval_workers()}
+        assert manifest["threads"] == {"blas": T._blas_threads(), "span_workers": T._span_workers()}
 
     def test_prune_csv_row_count(self, trained_run, synth_dir, tmp_path, capsys):
         rc = main([

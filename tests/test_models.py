@@ -2,8 +2,9 @@ import functools
 import hashlib
 import json
 import multiprocessing
+import sys
 import tracemalloc
-from concurrent.futures import Future
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -483,20 +484,16 @@ def use_workers(monkeypatch, workers: int) -> None:
     monkeypatch.setattr(T, "_POOL", None)
 
 
-class InlinePool:
-    """Stands in for the span pool: runs each submitted group at once and counts the submissions."""
+class CountingPool(ThreadPoolExecutor):
+    """The span pool, counting the groups submitted to it."""
 
-    def __init__(self):
+    def __init__(self, workers: int):
+        super().__init__(workers, thread_name_prefix="style_recal-spans")
         self.submitted = 0
 
     def submit(self, fn, *args):
         self.submitted += 1
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
+        return super().submit(fn, *args)
 
 
 class TestPooledEvalForward:
@@ -542,27 +539,6 @@ class TestPooledEvalForward:
                 for key, want in serial.items():
                     np.testing.assert_array_equal(pooled[key], want, err_msg=f"{key}, {workers} workers")
 
-    @pytest.mark.parametrize("recalib", ["none", "srm"])
-    def test_taped_forwards_and_train_steps_never_submit(self, monkeypatch, recalib):
-        model = build_resnet(small_cfg(recalib), seed=23)
-        rng = np.random.default_rng(24)
-        images = rng.normal(size=(8, 3, 8, 8)).astype(np.float32)
-        labels = rng.integers(0, 4, size=8)
-        monkeypatch.setattr(T, "_PATCH_BYTES", 1)
-        monkeypatch.setattr(T, "_WORKERS", 2)
-        pool = InlinePool()
-        monkeypatch.setattr(T, "_POOL", pool)
-        for mode in (model.train, model.eval):
-            mode()
-            with Tape() as tape:
-                loss = cross_entropy(model(Tensor(images)), labels)
-            tape.backward(loss)
-        train(model, Dataset(images, labels, "train", 4), TrainConfig(steps=2, batch_size=4, log_every=1))
-        assert pool.submitted == 0
-        model.eval()
-        model(Tensor(images))
-        assert pool.submitted > 0  # the stand-in is the pool an untaped eval forward uses
-
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method")
     def test_forked_child_evaluates_after_a_pooled_eval(self, monkeypatch):
         """A child inherits the pool object but not its threads; it must build its own, not wait forever."""
@@ -584,6 +560,66 @@ class TestPooledEvalForward:
             child.join(10)
         assert not child.is_alive()
         np.testing.assert_array_equal(got, want)
+
+
+class TestPooledTrainStep:
+    """Taped forwards and the conv and pooling backwards split their span loops over worker threads;
+    every value of a train step stays the serial one."""
+
+    @pytest.mark.parametrize("cfg,size", TestFusedEvalForward.CASES,
+                             ids=["resnet20", "resnet20-srm", "resnet20-se8", "bottleneck"])
+    @pytest.mark.parametrize("sliced", [False, True], ids=["whole", "sliced"])
+    def test_step_equals_the_serial_one(self, monkeypatch, cfg, size, sliced):
+        rng = np.random.default_rng(27)
+        images = rng.normal(size=(8, 3, size, size)).astype(np.float32)
+        labels = rng.integers(0, cfg.num_classes, size=8)
+        if sliced:
+            monkeypatch.setattr(T, "_PATCH_BYTES", 1)
+
+        def step(workers):
+            use_workers(monkeypatch, workers)
+            pool = CountingPool(max(workers - 1, 1))  # a pool needs a thread even where none is used
+            monkeypatch.setattr(T, "_POOL", pool)
+            model = build_resnet(cfg, seed=28)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # switch threads often, so a lost write would show
+            try:
+                with Tape() as tape:
+                    loss = cross_entropy(model(Tensor(images)), labels)
+                taped = pool.submitted
+                out = {"loss": loss.data, "records": len(tape)}
+                tape.backward(loss)
+            finally:
+                sys.setswitchinterval(interval)
+                pool.shutdown()
+            out.update({name: p.grad for name, p in model.named_parameters()})
+            out.update({name: buf.copy() for name, buf in model.named_buffers()})
+            return out, taped, pool.submitted - taped
+
+        serial, taped, backward = step(1)
+        assert (taped, backward) == (0, 0)
+        for workers in (2, 3):
+            pooled, taped, backward = step(workers)
+            assert taped > 0 and backward > 0, f"{workers} workers: {taped} forward, {backward} backward groups"
+            assert pooled.keys() == serial.keys()
+            for key, want in serial.items():
+                np.testing.assert_array_equal(pooled[key], want, err_msg=f"{key}, {workers} workers")
+
+    def test_train_runs_equal_the_serial_one(self, monkeypatch, tmp_path):
+        rng = np.random.default_rng(29)
+        data = Dataset(rng.normal(size=(16, 3, 16, 16)).astype(np.float32), rng.integers(0, 10, size=16), "train", 10)
+        cfg = TrainConfig(steps=2, batch_size=8, lr=0.05, log_every=1, eval_every=2, augment_policy="pad-crop-flip")
+        runs = []
+        for workers in (1, 2):
+            use_workers(monkeypatch, workers)
+            model = build_resnet(cifar_resnet_config(20, "srm"), seed=30)
+            train(model, data, cfg, out_dir=tmp_path / str(workers), eval_dataset=data)
+            digest = hashlib.sha256()
+            for name, p in model.named_parameters():
+                digest.update(name.encode() + p.data.tobytes())
+            runs.append((digest.hexdigest(), (tmp_path / str(workers) / "metrics.csv").read_bytes()))
+            assert (T._POOL is not None) == (workers > 1)
+        assert runs[0] == runs[1]
 
 
 def recorded_ops(tape: Tape) -> list[str]:

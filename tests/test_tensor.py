@@ -1,4 +1,3 @@
-import contextlib
 import os
 import subprocess
 import sys
@@ -361,6 +360,26 @@ class TestSlicedConv2d:
             tape.backward(loss)
             grads.append(wt.grad)
         np.testing.assert_array_equal(grads[0], grads[1])
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("cin,cout", [(16, 16), (3, 16)])
+    def test_weight_gradient_sums_the_slices_last_first(self, monkeypatch, workers, cin, cout):
+        """The serial order, (t[3:5] + t[1:3]) + t[0:1], whatever threads computed the slice terms."""
+        rng = np.random.default_rng(cin + cout + workers)
+        x = rng.normal(size=(5, cin, 8, 8)).astype(np.float32)
+        w = rng.normal(size=(cout, cin, 3, 3)).astype(np.float32)
+        c = rng.normal(size=(5, cout, 8, 8)).astype(np.float32)  # the output gradient, exactly
+
+        def weight_grad(a, b):
+            wt = Tensor(w, requires_grad=True)
+            with Tape() as tape:
+                loss = T.tsum(T.mul(T.conv2d(Tensor(x[a:b]), wt, 1, 1), Tensor(c[a:b])))
+            tape.backward(loss)
+            return wt.grad
+
+        assert self._split(monkeypatch, x, w, 1, 1) == [1, 2, 2]
+        use_workers(monkeypatch, workers)
+        np.testing.assert_array_equal(weight_grad(0, 5), (weight_grad(3, 5) + weight_grad(1, 3)) + weight_grad(0, 1))
 
 
 class TestElementwiseAndReductions:
@@ -727,13 +746,19 @@ class TestRunSpans:
         caller = threading.get_ident()
         assert [group for ident, group in seen if ident == caller] == [self.SPANS[:2]]
 
-    @pytest.mark.parametrize("why", ["one worker", "one span", "tape"])
+    def test_an_active_tape_splits_the_same_groups(self, monkeypatch):
+        use_workers(monkeypatch, 3)
+        seen = []
+        with Tape():
+            T._run_spans(self.SPANS, lambda group: seen.append(group))
+        assert sorted(seen) == [self.SPANS[:2], self.SPANS[2:4], self.SPANS[4:]]
+
+    @pytest.mark.parametrize("why", ["one worker", "one span"])
     def test_serial_on_the_calling_thread(self, monkeypatch, why):
         use_workers(monkeypatch, 1 if why == "one worker" else 2)
         spans = self.SPANS[:1] if why == "one span" else self.SPANS
         seen = []
-        with Tape() if why == "tape" else contextlib.nullcontext():
-            T._run_spans(spans, lambda group: seen.append((threading.get_ident(), group)))
+        T._run_spans(spans, lambda group: seen.append((threading.get_ident(), group)))
         assert seen == [(threading.get_ident(), spans)]
         assert T._POOL is None
 
@@ -753,12 +778,41 @@ class TestRunSpans:
             T._run_spans(self.SPANS, run)
         assert sorted(finished) == sorted({0, 1, 2} - set(failing))
 
+    @pytest.mark.parametrize("lower_g", [True, False], ids=["output-gradient", "input"])
+    @pytest.mark.parametrize("failing", [(0,), (1,), (1, 2)], ids=["caller", "worker", "two-workers"])
+    def test_conv_backward_error_reaches_the_caller_after_every_group(self, monkeypatch, lower_g, failing):
+        """Image i of the input and of the output gradient holds i + 1, so the patched _im2col knows its slice."""
+        use_workers(monkeypatch, 3)
+        monkeypatch.setattr(T, "_PATCH_BYTES", 1)  # one slice per image: groups [0, 1], [2, 3], [4, 5]
+        marks = np.arange(1, 7, dtype=np.float32)[:, None, None, None]
+        x = Tensor(np.broadcast_to(marks, (6, 2, 5, 5)).copy(), requires_grad=True)
+        w = Tensor(np.ones((2 if lower_g else 3, 2, 3, 3), np.float32), requires_grad=True)
+        im2col = T._im2col
+        finished = []
+
+        def patched(arr, *args):
+            index = int(arr.flat[0]) - 1
+            time.sleep(0.2 if index // 2 == 2 else 0.01)
+            if index // 2 in failing:
+                raise ValueError(f"group {index // 2}")
+            cols = im2col(arr, *args)
+            finished.append(index)
+            return cols
+
+        with Tape() as tape:
+            y = T.conv2d(x, w, padding=1)
+            loss = T.tsum(T.mul(y, Tensor(np.broadcast_to(marks, y.shape).copy())))
+        monkeypatch.setattr(T, "_im2col", patched)
+        with pytest.raises(ValueError, match=f"group {failing[0]}"):
+            tape.backward(loss)
+        assert sorted(finished) == [i for i in range(6) if i // 2 not in failing]
+
     @pytest.mark.parametrize("cpus,blas,workers", [(2, 1, 2), (2, 2, 1), (2, 3, 1), (2, None, 1), (4, 2, 2), (3, 2, 1)])
     def test_worker_count(self, monkeypatch, cpus, blas, workers):
         monkeypatch.setattr(T, "_WORKERS", None)
         monkeypatch.setattr(T, "_blas_threads", lambda: blas)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        assert T._eval_workers() == workers
+        assert T._span_workers() == workers
 
     @pytest.mark.skipif(T._blas_threads() is None or len(os.sched_getaffinity(0)) < 2,
                         reason="needs numpy's bundled OpenBLAS and two usable CPUs")
