@@ -186,12 +186,10 @@ class BatchNorm(Module):
             raise ShapeError(f"batchnorm: expected (N, C) or (N, C, H, W), got {x.shape}")
         if x.shape[1] != self.channels:
             raise ShapeError(f"batchnorm: channel extent {x.shape[1]} != {self.channels}")
-        axes = (0,) if x.ndim == 2 else (0, 2, 3)
-
         if self.training:
             if x.shape[0] < 2:
                 raise ShapeError("batchnorm: train mode requires batch size >= 2 (degenerate variance)")
-            out, mu, var = batch_norm_train(x, self.gamma, self.beta, axes, self.eps)
+            out, mu, var = batch_norm_train(x, self.gamma, self.beta, self.eps)
             m = BN_MOMENTUM
             self.running_mean[...] = (1 - m) * self.running_mean + m * mu
             self.running_var[...] = (1 - m) * self.running_var + m * var

@@ -219,10 +219,21 @@ class Tape:
 
 
 def _sum_grad(held: np.ndarray | None, grad: np.ndarray, dtype) -> np.ndarray:
-    """A gradient sum; the first term is cast to the tensor's dtype, later terms add as they come."""
+    """A gradient sum; the first term is cast to the tensor's dtype, later terms add as they come.
+
+    ``held + grad`` is written a block of leading indices at a time, through ``_run_spans``.
+    """
     if held is None:
         return grad if grad.dtype == dtype else grad.astype(dtype)
-    return held + grad
+    out = np.empty(held.shape, np.result_type(held, grad))
+    h1, g1, o1 = np.atleast_1d(held, grad, out)
+
+    def add(group):
+        for lo, hi in group:
+            np.add(h1[lo:hi], g1[lo:hi], out=o1[lo:hi])
+
+    _run_spans(_spans(len(o1), o1[0].nbytes), add)
+    return out
 
 
 _TAPE_STACK: list[Tape] = []
@@ -306,12 +317,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(a) -> Tensor:
+    """``fmax(x, 0)``, and ``g * (out > 0)`` backward, a block of leading indices at a time through ``_run_spans``.
+
+    fmax(x, 0) equals where(x > 0, x, 0) (NaN -> 0) up to the sign of the
+    zero a -0.0 input gives, which numpy's loop may set by the element's lane
+    (it does in float64 on x86-64 with numpy 2.4: +0.0 in full vectors).
+    """
     a = _as_tensor(a)
-    # fmax(x, 0) equals where(x > 0, x, 0) bit for bit (NaN -> 0, -0.0 -> +0.0).
-    out = np.fmax(a.data, 0)
+    out = np.empty_like(a.data)
+    x1, o1 = np.atleast_1d(a.data, out)
+    spans = _spans(len(o1), o1[0].nbytes)
+
+    def clip(group):
+        for lo, hi in group:
+            np.fmax(x1[lo:hi], 0, out=o1[lo:hi])
+
+    _run_spans(spans, clip)
 
     def backward(g):
-        return (g * (out > 0),)
+        gx = np.empty(out.shape, g.dtype)
+        g1, gx1 = np.atleast_1d(g, gx)
+
+        def mask(group):
+            for lo, hi in group:
+                np.multiply(g1[lo:hi], o1[lo:hi] > 0, out=gx1[lo:hi])
+
+        _run_spans(spans, mask)
+        return (gx,)
 
     return _make(out, (a,), backward)
 
@@ -364,7 +396,8 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
 
 
 # Working-set bytes of one block: the patch matrix that conv2d lowers at once,
-# the rows style_pool centres at once, and the images residual_relu writes at once.
+# the rows style_pool centres at once, and the images that batch_norm_train,
+# relu, residual_relu and a gradient fan-in sum work on at once.
 # About half of a 2 MiB per-core L2, so a block stays in cache between passes.
 _PATCH_BYTES = 1 << 20
 
@@ -379,7 +412,7 @@ def _spans(count: int, item_bytes: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-# Threads that run the span loops of forwards and conv and pooling backwards:
+# Threads that run the span loops of forwards and backwards:
 # None until the first loop that could use them, then _span_workers() sets it.
 # The pool holds the workers beyond the calling thread; a forked child drops its
 # copy, which has no threads.
@@ -426,13 +459,17 @@ def _span_workers() -> int:
 def _run_spans(spans: list[tuple[int, int]], run: Callable[[list[tuple[int, int]]], None]) -> None:
     """``run(group)`` on contiguous groups of ``spans``, one group per worker thread.
 
-    ``run`` handles each span of its group in order and writes only that
-    span's rows of a preallocated output, or that span's entry of a list,
-    into scratch of its own, so the values are those of one ``run(spans)``,
-    with or without an active Tape. With one worker or one span, that is
-    what runs. Otherwise the calling thread runs the first group and the pool
-    the rest, and the call returns, or raises the first error in group order,
-    only once every group has finished.
+    Every map-sized pass of a train step or an eval forward comes here: the
+    conv slices, forward and backward, style pooling's std blocks, batch
+    norm's passes, ReLU, the block tail and its backward, and the gradient
+    fan-in sums. ``run`` handles each span of its group in order and writes
+    only that span's rows of a preallocated output, or that span's entry of
+    a list, using scratch of its own group, so the values are those of one
+    ``run(spans)``, with or without an active Tape. A sum over spans is left
+    to the calling thread, in span order, after the call. With one worker or
+    one span, ``run(spans)`` is what runs. Otherwise the calling thread runs
+    the first group and the pool the rest, and the call returns, or raises
+    the first error in group order, only once every group has finished.
     """
     global _POOL
     workers = 1 if len(spans) < 2 else _span_workers()
@@ -552,7 +589,8 @@ def residual_relu(b: Tensor, s: Tensor, g: Tensor | None = None) -> Tensor:
     dtype promotion, so the values are those of the separate ops. The backward
     masks once, ``m = grad * (out > 0)``, and computes the separate ops'
     expressions: ``s`` gets ``m``, ``b`` gets ``m * g`` and ``g`` the per-channel
-    sums of ``m * b``. It keeps ``b`` only when there are gates.
+    sums of ``m * b``, by an einsum whose rows do not depend on the batch. It
+    walks the same blocks of images, and keeps ``b`` only when there are gates.
     """
     b, s = _as_tensor(b), _as_tensor(s)
     g = None if g is None else _as_tensor(g)
@@ -573,15 +611,26 @@ def residual_relu(b: Tensor, s: Tensor, g: Tensor | None = None) -> Tensor:
                 o += sd[lo:hi]
             np.fmax(o, 0, out=o)
 
-    _run_spans(_spans(len(out), out[0].nbytes), tail)
+    spans = _spans(len(out), out[0].nbytes)
+    _run_spans(spans, tail)
     if g is None:
         bd = None  # the backward's closure then keeps only the output
 
     def backward(grad):
-        m = grad * (out > 0)
-        if g is None:
-            return m, m
-        return m * gb, m, np.einsum("nchw,nchw->nc", m, bd)
+        m = np.empty(out.shape, grad.dtype)
+        if g is not None:
+            gbranch = np.empty(out.shape, np.result_type(m, gb))
+            ggates = np.empty(g.shape, np.result_type(m, bd))
+
+        def masked(group):
+            for lo, hi in group:
+                mb = np.multiply(grad[lo:hi], out[lo:hi] > 0, out=m[lo:hi])
+                if g is not None:
+                    np.multiply(mb, gb[lo:hi], out=gbranch[lo:hi])
+                    ggates[lo:hi] = np.einsum("nchw,nchw->nc", mb, bd[lo:hi])  # per image, so per block
+
+        _run_spans(spans, masked)
+        return (m, m) if g is None else (gbranch, m, ggates)
 
     return _make(out, (b, s) if g is None else (b, s, g), backward)
 
@@ -799,41 +848,85 @@ def maxpool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
     return _make(out, (x,), backward)
 
 
-def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...],
-                     eps: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Fused train-mode batch normalization over the given reduction axes.
+def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Fused train-mode batch normalization of an (N, C) or (N, C, H, W) map, per channel.
 
-    Normalizes with biased batch statistics, applies the per-channel affine,
-    and returns (output, batch_mean, batch_var) with the statistics flattened
-    to shape (C,). The gradient is the exact batch-norm gradient, including
-    the dependence of the statistics on the input.
+    Normalizes with biased batch statistics over every axis but C, applies
+    the per-channel affine, and returns (output, batch_mean, batch_var), the
+    statistics of shape (C,). The gradient is the exact batch-norm gradient,
+    including the dependence of the statistics on the input.
+
+    Every pass walks blocks of about ``_PATCH_BYTES`` of images, an (N, C)
+    map read as (N, C, 1), through ``_run_spans``. For each channel sum each
+    block writes its (n, c) row sums into an (N, C) array, and the calling
+    thread adds those over n: numpy reduces a C-contiguous map over (0, 2, 3)
+    the same way, so the values are the whole-map formulas' (within rounding
+    for one channel with planes, which numpy sums as one run). The squares
+    and ``g * xhat`` go into the rows the last pass then overwrites.
     """
     x = _as_tensor(x)
-    stat_shape = tuple(1 if ax in axes else x.shape[ax] for ax in range(x.ndim))
-    m = math.prod(x.shape[ax] for ax in axes)
-    mu = x.data.mean(axis=axes, keepdims=True)
-    xhat = x.data - mu
-    out = np.multiply(xhat, xhat)  # the buffer of squares is reused for the output
-    var = out.mean(axis=axes, keepdims=True)
+    x_shape = x.shape  # the backward keeps the shape, not the input
+    n, c = x_shape[:2]
+    rows = x.data.reshape(n, c, -1)
+    shape = rows.shape
+    m = n * shape[2]
+    spans = _spans(n, rows[0].nbytes)
+    part = np.empty((n, c), dtype=x.dtype)
+    xhat = np.empty(shape, dtype=x.dtype)
+    out = np.empty(shape, dtype=x.dtype)
+
+    def means(group):
+        for a, b in group:
+            part[a:b] = rows[a:b].sum(axis=2)
+
+    _run_spans(spans, means)
+    mu = part.sum(axis=0) / m
+
+    def variances(group):
+        for a, b in group:
+            xc = np.subtract(rows[a:b], mu[:, None], out=xhat[a:b])
+            part[a:b] = np.multiply(xc, xc, out=out[a:b]).sum(axis=2)  # affine() overwrites them
+
+    _run_spans(spans, variances)
+    var = part.sum(axis=0) / m
     sigma = np.sqrt(var + eps)
-    xhat /= sigma
-    gb = gamma.data.reshape(stat_shape)
-    np.multiply(xhat, gb, out=out)
-    out += beta.data.reshape(stat_shape)
+    gb = gamma.data[:, None]
+
+    def affine(group):
+        for a, b in group:
+            xh = xhat[a:b]
+            xh /= sigma[:, None]
+            y = np.multiply(xh, gb, out=out[a:b])
+            y += beta.data[:, None]
+
+    _run_spans(spans, affine)
 
     def backward(g):
-        # gx = gamma/sigma * (g - sum(g)/m - xhat * sum(g*xhat)/m), one full-size temporary.
-        gx = np.multiply(g, xhat)
-        ggamma = gx.sum(axis=axes, keepdims=True)
-        gbeta = g.sum(axis=axes, keepdims=True)
-        np.multiply(xhat, ggamma / m, out=gx)
-        np.subtract(g, gx, out=gx)
-        gx -= gbeta / m
-        gx *= gb / sigma
-        return gx, ggamma.reshape(gamma.shape), gbeta.reshape(beta.shape)
+        # gx = gamma/sigma * (g - sum(g)/m - xhat * sum(g*xhat)/m), with no temporary beyond gx.
+        g = g.reshape(shape)
+        gx = np.empty(shape, dtype=np.result_type(g, xhat))
+        pgamma, pbeta = np.empty((n, c), dtype=gx.dtype), np.empty((n, c), dtype=g.dtype)
 
-    out_t = _make(out, (x, gamma, beta), backward)
-    return out_t, mu.reshape(-1), var.reshape(-1)
+        def sums(group):
+            for a, b in group:
+                pgamma[a:b] = np.multiply(g[a:b], xhat[a:b], out=gx[a:b]).sum(axis=2)  # grads() overwrites them
+                pbeta[a:b] = g[a:b].sum(axis=2)
+
+        _run_spans(spans, sums)
+        ggamma, gbeta = pgamma.sum(axis=0), pbeta.sum(axis=0)
+        kgamma, kbeta, kscale = (ggamma / m)[:, None], (gbeta / m)[:, None], gb / sigma[:, None]
+
+        def grads(group):
+            for a, b in group:
+                gxb = np.multiply(xhat[a:b], kgamma, out=gx[a:b])
+                np.subtract(g[a:b], gxb, out=gxb)
+                gxb -= kbeta
+                gxb *= kscale
+
+        _run_spans(spans, grads)
+        return gx.reshape(x_shape), ggamma.reshape(gamma.shape), gbeta.reshape(beta.shape)
+
+    return _make(out.reshape(x_shape), (x, gamma, beta), backward), mu, var
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -302,6 +302,8 @@ def train(model: ResNet, dataset: Dataset, cfg: TrainConfig, out_dir: str | Path
 
     ``stop_when``, if given, is called with each logged row and ends the run
     early when it returns True (the history up to that point is unchanged).
+    A step whose gradients SGD refuses counts in ``aborted_steps`` and leaves
+    the parameters, the momentum and the BN running statistics as they were.
     """
     _keep_freed_memory_mapped()
     dataset.require_classes(model.config.num_classes)
@@ -348,6 +350,8 @@ def train(model: ResNet, dataset: Dataset, cfg: TrainConfig, out_dir: str | Path
 
         lr = lr_at(cfg.schedule, step)
         opt.zero_grad()
+        # The forward moves the BN running statistics; a step SGD refuses puts them back.
+        stats = [buf.copy() for _, buf in model.named_buffers()]
         with Tape() as tape:
             logits = model(Tensor(images))
             loss = cross_entropy(logits, labels)
@@ -359,6 +363,8 @@ def train(model: ResNet, dataset: Dataset, cfg: TrainConfig, out_dir: str | Path
         tape.backward(loss)
         if not opt.step(lr):
             result.aborted_steps += 1
+            for (_, buf), saved in zip(model.named_buffers(), stats):
+                buf[...] = saved
 
         window_loss.append(float(loss.data))
         window_hits += int((logits.data.argmax(axis=1) == labels).sum())

@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import json
@@ -620,6 +621,43 @@ class TestPooledTrainStep:
             runs.append((digest.hexdigest(), (tmp_path / str(workers) / "metrics.csv").read_bytes()))
             assert (T._POOL is not None) == (workers > 1)
         assert runs[0] == runs[1]
+
+
+def test_every_map_sized_pass_of_a_train_step_submits_groups(monkeypatch):
+    """A guard against putting a pass back on the calling thread: in one resnet20+SRM train step at 32x32,
+    each span loop of conv2d, batch_norm_train, relu, style_pool, residual_relu and the gradient fan-in
+    sum hands groups to the pool."""
+    use_workers(monkeypatch, 2)
+    monkeypatch.setattr(T, "_PATCH_BYTES", 1)
+    pool = CountingPool(1)
+    monkeypatch.setattr(T, "_POOL", pool)
+    run_spans = T._run_spans
+    submitted = collections.Counter()
+
+    def counting(spans, run):
+        before = pool.submitted
+        run_spans(spans, run)
+        submitted[run.__qualname__.replace(".<locals>.", ".")] += pool.submitted - before
+
+    monkeypatch.setattr(T, "_run_spans", counting)
+    rng = np.random.default_rng(31)
+    model = build_resnet(cifar_resnet_config(20, "srm"), seed=31)
+    try:
+        with Tape() as tape:
+            loss = cross_entropy(model(Tensor(rng.normal(size=(4, 3, 32, 32)).astype(np.float32))),
+                                 rng.integers(0, 10, size=4))
+        tape.backward(loss)
+    finally:
+        pool.shutdown()
+    assert {name for name, groups in submitted.items() if groups} == {
+        "conv2d.forward", "conv2d.backward.slices",
+        "batch_norm_train.means", "batch_norm_train.variances", "batch_norm_train.affine",
+        "batch_norm_train.backward.sums", "batch_norm_train.backward.grads",
+        "relu.clip", "relu.backward.mask",
+        "style_pool.moments", "style_pool.backward.centred",
+        "residual_relu.tail", "residual_relu.backward.masked",
+        "_sum_grad.add",
+    }
 
 
 def recorded_ops(tape: Tape) -> list[str]:

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -440,6 +441,29 @@ class TestResidualRelu:
         if gated:  # the separate ops sum the gate gradient by axes, the op by einsum
             np.testing.assert_allclose(gg, want_g, rtol=1e-5)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("gates", [None, np.float32, np.float64], ids=["plain", "gated", "float64-gates"])
+    def test_image_blocks_equal_the_whole_map(self, monkeypatch, short_switches, gates, workers):
+        """One image per span on 1-3 workers: the output and the three gradients are the whole-map expressions'."""
+        use_workers(monkeypatch, workers)
+        monkeypatch.setattr(T, "_PATCH_BYTES", 1)
+        rng = np.random.default_rng(27)
+        b, s = (rng.normal(size=(6, 4, 16, 16)).astype(np.float32) for _ in range(2))
+        g = None if gates is None else rng.uniform(0.1, 0.9, size=(6, 4)).astype(gates)
+        bt, st = Tensor(b, requires_grad=True), Tensor(s, requires_grad=True)
+        with Tape() as tape:
+            out = T.residual_relu(bt, st, None if g is None else Tensor(g, requires_grad=True))
+        ((_, _, backward),) = tape._records
+        r = rng.normal(size=out.shape).astype(out.dtype)
+        want = np.fmax(b + s if g is None else b * g[:, :, None, None] + s, 0)
+        m = r * (want > 0)
+        wants = [m, m] if g is None else [m * g[:, :, None, None], m, np.einsum("nchw,nchw->nc", m, b)]
+        got = backward(r)
+        assert out.data.dtype == want.dtype and out.data.tobytes() == want.tobytes()
+        assert len(got) == len(wants)
+        for got_grad, want_grad in zip(got, wants):
+            assert got_grad.dtype == want_grad.dtype and got_grad.tobytes() == want_grad.tobytes()
+
     @pytest.mark.parametrize("gated", [False, True])
     def test_backward_keeps_the_branch_only_with_gates(self, gated):
         rng = np.random.default_rng(1)
@@ -505,6 +529,28 @@ class TestReluOracle:
         tape.backward(loss)
         np.testing.assert_array_equal(x_t.grad, np.arange(1, x.size + 1, dtype=dtype) * (x > 0))
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(6, 4, 16, 16), (13,), ()])
+    def test_blocks_of_leading_indices_equal_the_whole_map(self, monkeypatch, short_switches, shape, dtype, workers):
+        """Every value is the whole map's. The zero that a -0.0 input gives compares by value only: numpy's
+        float64 fmax signs it by the element's lane in its loop (-0.0 alone, +0.0 first of eight)."""
+        use_workers(monkeypatch, workers)
+        monkeypatch.setattr(T, "_PATCH_BYTES", 1)  # one leading index per span
+        rng = np.random.default_rng(26)
+        x, r = (rng.normal(size=shape).astype(dtype) for _ in range(2))
+        x.reshape(-1)[:2] = [np.nan, -0.0][: x.size]
+        x_t = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = T.relu(x_t)
+            loss = T.tsum(T.mul(out, Tensor(r)))
+        tape.backward(loss)
+        want = np.fmax(x, 0)
+        assert out.data.shape == want.shape and out.data.dtype == want.dtype
+        np.testing.assert_array_equal(out.data, want)
+        assert out.data[x != 0].tobytes() == want[x != 0].tobytes()
+        assert x_t.grad.tobytes() == np.asarray(r * (want > 0)).tobytes()
+
 
 def _batch_norm_oracle(x, gamma, beta, axes, eps):
     """The direct batch-norm formulas: forward, and backward through g * gamma."""
@@ -527,14 +573,47 @@ def _batch_norm_oracle(x, gamma, beta, axes, eps):
     return out, mu.reshape(-1), var.reshape(-1), backward
 
 
+def _batch_norm_backward_whole_map(x, gamma, g, axes, eps):
+    """The batch-norm gradients from whole-map expressions, each channel sum one numpy reduction."""
+    stat_shape = tuple(1 if ax in axes else x.shape[ax] for ax in range(x.ndim))
+    m = x.size // x.shape[1]
+    xhat = x - x.mean(axis=axes, keepdims=True)
+    sigma = np.sqrt((xhat * xhat).mean(axis=axes, keepdims=True) + eps)
+    xhat /= sigma
+    ggamma = (g * xhat).sum(axis=axes, keepdims=True)
+    gbeta = g.sum(axis=axes, keepdims=True)
+    gx = g - xhat * (ggamma / m)
+    gx -= gbeta / m
+    gx *= gamma.reshape(stat_shape) / sigma
+    return gx, ggamma.reshape(-1), gbeta.reshape(-1)
+
+
+# Shapes whose image blocks go through the span workers, one with images of over 500 values, so
+# that numpy drops the GIL inside each block and the groups run at once.
+POOLED_BN_SHAPES = [((8, 5, 6, 6), (0, 2, 3)), ((16, 7), (0,)), ((6, 4, 16, 16), (0, 2, 3))]
+
+
 class TestBatchNormOracle:
     @pytest.mark.parametrize("shape,axes", [((8, 5, 6, 6), (0, 2, 3)), ((16, 7), (0,))])
     def test_forward_bit_identical_float32(self, shape, axes):
+        self.check_forward(shape, axes)
+
+    @pytest.mark.parametrize("images", [1, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("shape,axes", POOLED_BN_SHAPES)
+    def test_image_blocks_forward_bit_identical_float32(self, monkeypatch, short_switches, shape, axes, workers,
+                                                        images):
+        use_workers(monkeypatch, workers)
+        monkeypatch.setattr(T, "_PATCH_BYTES", images * math.prod(shape[1:]) * 4)  # about `images` per span
+        self.check_forward(shape, axes)
+
+    @staticmethod
+    def check_forward(shape, axes):
         rng = np.random.default_rng(21)
         x = (rng.normal(size=shape) * 3 + 1).astype(np.float32)
         gamma = rng.normal(size=shape[1]).astype(np.float32)
         beta = rng.normal(size=shape[1]).astype(np.float32)
-        out, mu, var = T.batch_norm_train(Tensor(x), Tensor(gamma), Tensor(beta), axes, 1e-5)
+        out, mu, var = T.batch_norm_train(Tensor(x), Tensor(gamma), Tensor(beta), 1e-5)
         want_out, want_mu, want_var, _ = _batch_norm_oracle(x, gamma, beta, axes, 1e-5)
         assert out.data.tobytes() == want_out.tobytes()
         assert mu.tobytes() == want_mu.tobytes()
@@ -549,15 +628,105 @@ class TestBatchNormOracle:
         g = rng.normal(size=shape)
         ts = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
         with Tape() as tape:
-            out, _, _ = T.batch_norm_train(*ts, axes, 1e-5)
+            out, _, _ = T.batch_norm_train(*ts, 1e-5)
             loss = T.tsum(T.mul(out, Tensor(g)))
         tape.backward(loss)
         _, _, _, backward = _batch_norm_oracle(x, gamma, beta, axes, 1e-5)
         for got, want in zip([t.grad for t in ts], backward(g)):
             assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
+    @pytest.mark.parametrize("workers,images", [(1, None), (1, 1), (2, 1), (3, 1), (1, 3), (3, 3)],
+                             ids=["whole", "1-worker", "2-workers", "3-workers",
+                                  "1-worker-3-images", "3-workers-3-images"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,axes", POOLED_BN_SHAPES)
+    def test_backward_bit_identical_to_the_whole_map_sums(self, monkeypatch, short_switches, shape, axes, dtype,
+                                                          workers, images):
+        use_workers(monkeypatch, workers)
+        if images:  # about that many images per span
+            monkeypatch.setattr(T, "_PATCH_BYTES", images * math.prod(shape[1:]) * np.dtype(dtype).itemsize)
+        rng = np.random.default_rng(23)
+        x, g = ((rng.normal(size=shape) * 3 + 1).astype(dtype) for _ in range(2))
+        gamma, beta = (rng.normal(size=shape[1]).astype(dtype) for _ in range(2))
+        ts = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+        with Tape() as tape:
+            out, _, _ = T.batch_norm_train(*ts, 1e-5)
+            loss = T.tsum(T.mul(out, Tensor(g)))
+        tape.backward(loss)
+        for got, want in zip([t.grad for t in ts], _batch_norm_backward_whole_map(x, gamma, g, axes, 1e-5)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_channel_map_within_rounding_and_the_same_in_any_blocks(self, monkeypatch, short_switches, dtype):
+        """numpy sums a one-channel map over (0, 2, 3) as one pairwise run, not as rows added over n, so
+        there the op equals the whole-map formulas within rounding only; its values still do not depend
+        on the blocks or the workers."""
+        whole = T._PATCH_BYTES
+        rng = np.random.default_rng(25)
+        x, g = ((rng.normal(size=(9, 1, 12, 12)) * 3 + 1).astype(dtype) for _ in range(2))
+        gamma, beta = (rng.normal(size=1).astype(dtype) for _ in range(2))
+        runs = []
+        for workers, patch in [(1, whole), (1, 1), (3, 1)]:
+            use_workers(monkeypatch, workers)
+            monkeypatch.setattr(T, "_PATCH_BYTES", patch)
+            ts = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+            with Tape() as tape:
+                out, mu, var = T.batch_norm_train(*ts, 1e-5)
+                loss = T.tsum(T.mul(out, Tensor(g)))
+            tape.backward(loss)
+            runs.append([out.data, mu, var] + [t.grad for t in ts])
+        for run in runs[1:]:
+            for got, want in zip(run, runs[0]):
+                assert got.tobytes() == want.tobytes()
+        want_out, want_mu, want_var, _ = _batch_norm_oracle(x, gamma, beta, (0, 2, 3), 1e-5)
+        wants = [want_out, want_mu, want_var, *_batch_norm_backward_whole_map(x, gamma, g, (0, 2, 3), 1e-5)]
+        rtol = 1e-5 if dtype == np.float32 else 1e-13
+        for got, want in zip(runs[0], wants):
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
+
+
+class TestChannelSumOrder:
+    """``batch_norm_train`` sums its channels per image block and adds the blocks' rows over n; its values
+    equal the whole-map formulas only because numpy sums a C-contiguous map over (0, 2, 3) the same way:
+    each (n, c) row pairwise, then the rows over n. A numpy whose reduction differs fails here. A map of
+    one channel and planes of more than one value is the exception (``test_one_channel_map...``)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(16, 7), (8, 5, 3, 3), (128, 64, 8, 8), (32, 16, 16, 16), (8, 16, 32, 32),
+                                       (3, 4, 56, 56), (2, 3, 224, 224), (300, 2, 1, 1), (300, 1, 1, 1), (300, 1)])
+    def test_map_sum_is_row_sums_added_over_images(self, shape, dtype):
+        x = (np.random.default_rng(24).normal(size=shape) * 3 + 1).astype(dtype)
+        n, c = shape[:2]
+        axes = (0,) + tuple(range(2, x.ndim))
+        rows = x.reshape(n, c, -1).sum(axis=2)
+        want = x.sum(axis=axes)
+        assert rows.sum(axis=0).tobytes() == want.tobytes()
+        assert (rows.sum(axis=0) / (x.size // c)).tobytes() == x.mean(axis=axes).tobytes()
+        if c > 1:  # then that fold is the rows added one image after the other (one channel's is pairwise)
+            fold = rows[0]
+            for row in rows[1:]:
+                fold = fold + row
+            assert fold.tobytes() == want.tobytes()
+
 
 class TestTape:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("shape,dtypes,broadcast", [
+        ((6, 4, 16, 16), (np.float32, np.float32), False), ((6, 4, 16, 16), (np.float32, np.float64), False),
+        ((6, 4, 16, 16), (np.float32, np.float32), True), ((300,), (np.float64, np.float64), False),
+        ((), (np.float32, np.float32), False)], ids=["float32", "mixed", "broadcast", "1-d", "0-d"])
+    def test_fan_in_sum_in_blocks_equals_the_whole_sum(self, monkeypatch, short_switches, shape, dtypes, broadcast,
+                                                       workers):
+        use_workers(monkeypatch, workers)
+        monkeypatch.setattr(T, "_PATCH_BYTES", 1)  # one leading index per span
+        rng = np.random.default_rng(28)
+        held, grad = (rng.normal(size=shape).astype(dt) for dt in dtypes)
+        if broadcast:  # as tsum's backward hands it on
+            grad = np.broadcast_to(grad.reshape(-1)[:1].reshape((1,) * len(shape)), shape)
+        got = T._sum_grad(held, grad, held.dtype)
+        want = np.asarray(held + grad)
+        assert got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_fanout_accumulates(self):
         with using_dtype(np.float64):
             x = Tensor(np.array([1.5, -2.0]), requires_grad=True)
@@ -733,6 +902,15 @@ def use_workers(monkeypatch, workers: int) -> None:
     """Force the span worker count; Tier-1 runs with default BLAS threads, where it is 1 on most hosts."""
     monkeypatch.setattr(T, "_WORKERS", workers)
     monkeypatch.setattr(T, "_POOL", None)
+
+
+@pytest.fixture
+def short_switches():
+    """Switch threads often, so that a group writing another group's rows or scratch would show."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield
+    sys.setswitchinterval(interval)
 
 
 class TestRunSpans:

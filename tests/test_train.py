@@ -302,6 +302,30 @@ class TestTrainLoop:
         assert not result.diverged
         assert result.aborted_steps > 0
 
+    def test_refused_step_leaves_the_bn_statistics_alone(self, monkeypatch):
+        model = build_resnet(tiny_cfg(), seed=0)
+        before = []  # every buffer, as each step's forward starts
+        forward = model.forward
+
+        def recording_forward(*args, **kwargs):
+            before.append({name: buf.copy() for name, buf in model.named_buffers()})
+            return forward(*args, **kwargs)
+
+        step = SGD.step
+        calls = []
+
+        def refusing_step(opt, lr):
+            calls.append(lr)
+            return False if len(calls) == 2 else step(opt, lr)
+
+        monkeypatch.setattr(model, "forward", recording_forward)
+        monkeypatch.setattr(SGD, "step", refusing_step)
+        result = train(model, tiny_data(), TrainConfig(steps=3, batch_size=8, lr=0.01, seed=0, log_every=3))
+        assert result.aborted_steps == 1 and len(before) == 3
+        assert any(not np.array_equal(buf, before[0][name]) for name, buf in before[1].items())
+        for name, buf in before[2].items():  # the refused second step's forward left no trace
+            np.testing.assert_array_equal(buf, before[1][name], err_msg=name)
+
     def test_hash_mismatch_rejected(self, tmp_path):
         model = build_resnet(tiny_cfg(), seed=0)
         cfg = TrainConfig(steps=2, batch_size=8, lr=0.01, seed=0, log_every=1)
