@@ -54,6 +54,8 @@ class Dataset:
     def __post_init__(self):
         if self.images.ndim != 4 or self.images.shape[0] != self.labels.shape[0]:
             raise DataError(f"dataset: images {self.images.shape} vs labels {self.labels.shape}")
+        if not np.issubdtype(self.labels.dtype, np.integer):
+            raise DataError(f"dataset: labels are {self.labels.dtype}, not integer class ids")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise DataError("dataset: labels out of range")
 
@@ -226,12 +228,15 @@ def load_dataset(path: str | Path) -> Dataset:
     entries, meta = read_container(path)
     if meta.get("kind") != "dataset" or "images" not in entries or "labels" not in entries:
         raise DataError(f"{path}: not a dataset container")
-    return Dataset(
-        images=entries["images"],
-        labels=entries["labels"],
-        split=meta.get("split", "train"),
-        num_classes=int(meta["num_classes"] if "num_classes" in meta else entries["labels"].max() + 1),
-    )
+    try:
+        return Dataset(
+            images=entries["images"],
+            labels=entries["labels"],
+            split=meta.get("split", "train"),
+            num_classes=int(meta["num_classes"] if "num_classes" in meta else entries["labels"].max() + 1),
+        )
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def resolve_data_path(explicit: str | None) -> str:

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import math
 import os
+import threading
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -227,12 +229,7 @@ def _sum_grad(held: np.ndarray | None, grad: np.ndarray, dtype) -> np.ndarray:
         return grad if grad.dtype == dtype else grad.astype(dtype)
     out = np.empty(held.shape, np.result_type(held, grad))
     h1, g1, o1 = np.atleast_1d(held, grad, out)
-
-    def add(group):
-        for lo, hi in group:
-            np.add(h1[lo:hi], g1[lo:hi], out=o1[lo:hi])
-
-    _run_spans(_spans(len(o1), o1[0].nbytes), add)
+    _run_spans(_spans(len(o1), o1[0].nbytes), lambda lo, hi: np.add(h1[lo:hi], g1[lo:hi], out=o1[lo:hi]))
     return out
 
 
@@ -327,22 +324,12 @@ def relu(a) -> Tensor:
     out = np.empty_like(a.data)
     x1, o1 = np.atleast_1d(a.data, out)
     spans = _spans(len(o1), o1[0].nbytes)
-
-    def clip(group):
-        for lo, hi in group:
-            np.fmax(x1[lo:hi], 0, out=o1[lo:hi])
-
-    _run_spans(spans, clip)
+    _run_spans(spans, lambda lo, hi: np.fmax(x1[lo:hi], 0, out=o1[lo:hi]))
 
     def backward(g):
         gx = np.empty(out.shape, g.dtype)
         g1, gx1 = np.atleast_1d(g, gx)
-
-        def mask(group):
-            for lo, hi in group:
-                np.multiply(g1[lo:hi], o1[lo:hi] > 0, out=gx1[lo:hi])
-
-        _run_spans(spans, mask)
+        _run_spans(spans, lambda lo, hi: np.multiply(g1[lo:hi], o1[lo:hi] > 0, out=gx1[lo:hi]))
         return (gx,)
 
     return _make(out, (a,), backward)
@@ -396,7 +383,7 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
 
 
 # Working-set bytes of one block: the patch matrix that conv2d lowers at once,
-# the rows style_pool centres at once, and the images that batch_norm_train,
+# the rows style_pool reads at once, and the images that batch_norm_train,
 # relu, residual_relu and a gradient fan-in sum work on at once.
 # About half of a 2 MiB per-core L2, so a block stays in cache between passes.
 _PATCH_BYTES = 1 << 20
@@ -456,25 +443,30 @@ def _span_workers() -> int:
     return _WORKERS
 
 
-def _run_spans(spans: list[tuple[int, int]], run: Callable[[list[tuple[int, int]]], None]) -> None:
-    """``run(group)`` on contiguous groups of ``spans``, one group per worker thread.
+def _walk(run: Callable[[int, int], object], group: list[tuple[int, int]]) -> None:
+    for lo, hi in group:
+        run(lo, hi)
 
-    Every map-sized pass of a train step or an eval forward comes here: the
-    conv slices, forward and backward, style pooling's std blocks, batch
+
+def _run_spans(spans: list[tuple[int, int]], run: Callable[[int, int], object]) -> None:
+    """``run(lo, hi)`` once per span, the spans split into contiguous groups, one group per worker thread.
+
+    Every map-sized pass of a train step or an eval forward is such a body:
+    the conv slices, forward and backward, style pooling's blocks, batch
     norm's passes, ReLU, the block tail and its backward, and the gradient
-    fan-in sums. ``run`` handles each span of its group in order and writes
-    only that span's rows of a preallocated output, or that span's entry of
-    a list, using scratch of its own group, so the values are those of one
-    ``run(spans)``, with or without an active Tape. A sum over spans is left
-    to the calling thread, in span order, after the call. With one worker or
-    one span, ``run(spans)`` is what runs. Otherwise the calling thread runs
-    the first group and the pool the rest, and the call returns, or raises
+    fan-in sums. A body writes only its span's rows of a preallocated
+    output, or its span's entry of a dict, so the values are those of a
+    serial walk, with or without an active Tape; scratch that outlives a
+    span is kept per thread. A sum over spans is left to the calling thread,
+    in span order, after the call. With one worker or one span the calling
+    thread walks every span in order. Otherwise it walks the first group and
+    the pool the rest, each group in order, and the call returns, or raises
     the first error in group order, only once every group has finished.
     """
     global _POOL
     workers = 1 if len(spans) < 2 else _span_workers()
     if workers < 2:
-        run(spans)
+        _walk(run, spans)
         return
     if _POOL is None:
         from concurrent.futures import ThreadPoolExecutor
@@ -482,9 +474,9 @@ def _run_spans(spans: list[tuple[int, int]], run: Callable[[list[tuple[int, int]
         _POOL = ThreadPoolExecutor(workers - 1, thread_name_prefix="style_recal-spans")
     parts = min(workers, len(spans))
     groups = [spans[len(spans) * i // parts : len(spans) * (i + 1) // parts] for i in range(parts)]
-    futures = [_POOL.submit(run, group) for group in groups[1:]]
+    futures = [_POOL.submit(_walk, run, group) for group in groups[1:]]
     try:
-        run(groups[0])
+        _walk(run, groups[0])
     finally:
         for future in futures:
             future.exception()  # waits, so no group still writes once the call is over
@@ -508,13 +500,15 @@ def style_pool(x: Tensor, kinds) -> Tensor:
     the centred values (the same op, so the same values) rather than keeping
     a map-sized copy alive from the forward to the backward.
 
-    With std, both passes walk the (N*C, H*W) rows in blocks of about
-    ``_PATCH_BYTES``: the forward takes each block's mean, then centres and
-    squares the block in one block-sized scratch, and the backward writes
-    each block of the input gradient in place. numpy sums every contiguous
-    row pairwise whatever the number of rows, so the values are those of the
-    whole-map formulas, with no map-sized temporary. Both passes' blocks go
-    through ``_run_spans``, so they may be split over threads.
+    Both passes walk the (N*C, H*W) rows in blocks of about ``_PATCH_BYTES``
+    through ``_run_spans``, so they may be split over threads. The forward
+    takes each block's statistics, whichever the call asks for: the mean;
+    the spread, by centring and squaring the block in a block-sized
+    temporary; the argmax. The backward writes each block of the input
+    gradient in place: the centred std term plus the avg value, the avg
+    value alone, or zero, and then adds the max routing. numpy sums every
+    contiguous row pairwise whatever the number of rows, so the values are
+    those of the whole-map formulas, with no map-sized temporary.
     """
     x = _as_tensor(x)
     if x.ndim != 4:
@@ -530,50 +524,46 @@ def style_pool(x: Tensor, kinds) -> Tensor:
     rows = x.data.reshape(n * c, m)
     blocks = _spans(n * c, m * x.data.itemsize)
     out = np.empty((n * c, len(kinds)), dtype=x.dtype)
-    if "std" in col:
-        mu, var = np.empty((2, n * c), dtype=x.dtype)
+    mu, sigma = np.empty((2, n * c), dtype=x.dtype)
+    idx = np.empty(n * c, dtype=np.intp)
 
-        def moments(group):
-            scratch = np.empty((max(b - a for a, b in group), m), dtype=x.dtype)
-            for a, b in group:
-                mu[a:b] = rows[a:b].mean(axis=1)
-                xc = np.subtract(rows[a:b], mu[a:b, None], out=scratch[: b - a])
-                var[a:b] = np.multiply(xc, xc, out=xc).mean(axis=1)
+    def stats(a, b):
+        block = rows[a:b]
+        if "avg" in col or "std" in col:
+            mu[a:b] = block.mean(axis=1)
+        if "std" in col:
+            xc = block - mu[a:b, None]
+            sigma[a:b] = np.sqrt(np.multiply(xc, xc, out=xc).mean(axis=1) + POOL_EPS)
+        if "max" in col:
+            idx[a:b] = block.argmax(axis=1)
+            out[a:b, col["max"]] = block[np.arange(b - a), idx[a:b]]
 
-        _run_spans(blocks, moments)
-    elif "avg" in col:
-        mu = rows.mean(axis=1)
+    _run_spans(blocks, stats)
     if "avg" in col:
         out[:, col["avg"]] = mu
     if "std" in col:
-        sigma = np.sqrt(var + POOL_EPS)
         out[:, col["std"]] = sigma
-    if "max" in col:
-        idx = rows.argmax(axis=1)
-        out[:, col["max"]] = rows[np.arange(n * c), idx]
     out = out.reshape(n, c, len(kinds))
 
     def backward(g):
         g = g.reshape(n * c, len(kinds))
-        if "std" in col:
-            gx = np.empty((n * c, m), dtype=x.dtype)
-            g_std = g[:, col["std"]] / (m * sigma)
-            g_avg = g[:, col["avg"]] / m if "avg" in col else None
+        gx = np.empty((n * c, m), dtype=x.dtype)
+        g_avg = g[:, col["avg"]] / m if "avg" in col else None
+        g_std = g[:, col["std"]] / (m * sigma) if "std" in col else None
 
-            def centred(group):
-                for a, b in group:
-                    block = np.subtract(rows[a:b], mu[a:b, None], out=gx[a:b])
-                    block *= g_std[a:b, None]
-                    if g_avg is not None:
-                        block += g_avg[a:b, None]
+        def grads(a, b):
+            block = gx[a:b]
+            if g_std is not None:
+                np.subtract(rows[a:b], mu[a:b, None], out=block)
+                block *= g_std[a:b, None]
+                if g_avg is not None:
+                    block += g_avg[a:b, None]
+            else:
+                block[...] = 0 if g_avg is None else g_avg[a:b, None]
+            if "max" in col:
+                block[np.arange(b - a), idx[a:b]] += g[a:b, col["max"]]
 
-            _run_spans(blocks, centred)
-        elif "avg" in col:
-            gx = np.broadcast_to((g[:, col["avg"]] / m)[:, None], (n * c, m)).copy()
-        else:
-            gx = np.zeros((n * c, m), dtype=g.dtype)
-        if "max" in col:
-            gx[np.arange(n * c), idx] += g[:, col["max"]]
+        _run_spans(blocks, grads)
         return (gx.reshape(shape),)
 
     return _make(out[..., 0] if squeeze else out, (x,), backward)
@@ -601,15 +591,14 @@ def residual_relu(b: Tensor, s: Tensor, g: Tensor | None = None) -> Tensor:
     gb = None if g is None else g.data[:, :, None, None]
     out = np.empty(bd.shape, np.result_type(bd, sd) if gb is None else np.result_type(bd, gb, sd))
 
-    def tail(group):
-        for lo, hi in group:
-            o = out[lo:hi]
-            if gb is None:
-                np.add(bd[lo:hi], sd[lo:hi], out=o)
-            else:
-                np.multiply(bd[lo:hi], gb[lo:hi], out=o)
-                o += sd[lo:hi]
-            np.fmax(o, 0, out=o)
+    def tail(lo, hi):
+        o = out[lo:hi]
+        if gb is None:
+            np.add(bd[lo:hi], sd[lo:hi], out=o)
+        else:
+            np.multiply(bd[lo:hi], gb[lo:hi], out=o)
+            o += sd[lo:hi]
+        np.fmax(o, 0, out=o)
 
     spans = _spans(len(out), out[0].nbytes)
     _run_spans(spans, tail)
@@ -622,12 +611,11 @@ def residual_relu(b: Tensor, s: Tensor, g: Tensor | None = None) -> Tensor:
             gbranch = np.empty(out.shape, np.result_type(m, gb))
             ggates = np.empty(g.shape, np.result_type(m, bd))
 
-        def masked(group):
-            for lo, hi in group:
-                mb = np.multiply(grad[lo:hi], out[lo:hi] > 0, out=m[lo:hi])
-                if g is not None:
-                    np.multiply(mb, gb[lo:hi], out=gbranch[lo:hi])
-                    ggates[lo:hi] = np.einsum("nchw,nchw->nc", mb, bd[lo:hi])  # per image, so per block
+        def masked(lo, hi):
+            mb = np.multiply(grad[lo:hi], out[lo:hi] > 0, out=m[lo:hi])
+            if g is not None:
+                np.multiply(mb, gb[lo:hi], out=gbranch[lo:hi])
+                ggates[lo:hi] = np.einsum("nchw,nchw->nc", mb, bd[lo:hi])  # per image, so per block
 
         _run_spans(spans, masked)
         return (m, m) if g is None else (gbranch, m, ggates)
@@ -649,9 +637,10 @@ def _im2col(x: np.ndarray, k: int, stride: int, padding: int, scratch: dict | No
     row too, and reads its taps in runs ``wo`` long. Without padding the
     input itself is the copy.
 
-    The slices of one batch share a ``scratch`` dict: the padded buffer, whose
-    zero border is then written once, and the patch matrix, which each call
-    overwrites.
+    The slices that one thread lowers in one conv call share a ``scratch``
+    dict: the padded buffer, whose zero border is then written once, and
+    the patch matrix, which each call overwrites. Both grow to the largest
+    slice seen.
     """
     n, c, h, w = x.shape
     hp, wp = h + 2 * padding, w + 2 * padding
@@ -691,10 +680,10 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0, *,
     gemm result is stored straight into the NCHW output. A conv whose whole
     patch matrix fits in the budget is one slice. The forward's and the
     backward's slices go through ``_run_spans``, so they may be split over
-    threads. The backward keeps each slice's weight-gradient term, and the
-    calling thread sums them last slice first, the order of a serial walk,
-    so the weight gradient does not depend on how the slices are grouped
-    over threads.
+    threads; each thread keeps one ``_im2col`` scratch for the call. The
+    backward keeps each slice's weight-gradient term by its first image,
+    and the calling thread sums them last slice first, so the weight
+    gradient does not depend on how the slices are grouped over threads.
 
     An inference epilogue may be given: per-output-channel ``scale`` and
     ``shift`` arrays, applied as ``y * scale + shift``, then ``fmax(y, 0)``
@@ -751,19 +740,18 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0, *,
     spans = _spans(n, cin * k * k * ho * wo * x.data.itemsize)
     w2 = weight.data.reshape(cout, cin * k * k)
     out = np.empty((n, cout, ho, wo), dtype=np.result_type(w2, x.data))
+    scratch = {}  # one _im2col scratch per thread
 
-    def forward(group):
-        scratch = {}
-        for a, b in group:
-            cols = _im2col(x.data[a:b], k, stride, padding, scratch)
-            y = w2 @ cols
-            if scale is not None:
-                y *= scale[:, None]
-            if shift is not None:
-                y += shift[:, None]
-            if relu:
-                np.fmax(y, 0, out=y)
-            out[a:b] = y.reshape(cout, b - a, ho, wo).transpose(1, 0, 2, 3)
+    def forward(a, b):
+        cols = _im2col(x.data[a:b], k, stride, padding, scratch.setdefault(threading.get_ident(), {}))
+        y = w2 @ cols
+        if scale is not None:
+            y *= scale[:, None]
+        if shift is not None:
+            y += shift[:, None]
+        if relu:
+            np.fmax(y, 0, out=y)
+        out[a:b] = y.reshape(cout, b - a, ho, wo).transpose(1, 0, 2, 3)
 
     _run_spans(spans, forward)
     lower_g = stride == 1 and padding <= k - 1 and cout <= cin
@@ -772,37 +760,34 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0, *,
         gx = np.empty(x.shape, dtype=g.dtype) if x.requires_grad else None
         if lower_g:
             wf = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
-        terms = [None] * len(spans)
+        scratch, terms = {}, {}  # one _im2col scratch per thread; the weight-gradient terms by span start
 
-        def slices(group):
-            first = spans.index(group[0])
-            scratch = {}
-            for at in reversed(range(first, first + len(group))):
-                a, b = spans[at]
-                if lower_g:
-                    gcols = _im2col(g[a:b], k, 1, k - 1 - padding, scratch)
-                    x2 = np.ascontiguousarray(x.data[a:b].transpose(1, 0, 2, 3)).reshape(cin, (b - a) * h * w)
-                    terms[at] = gcols @ x2.T
-                else:
-                    cols = _im2col(x.data[a:b], k, stride, padding, scratch)
-                    g2 = np.ascontiguousarray(g[a:b].transpose(1, 0, 2, 3)).reshape(cout, (b - a) * ho * wo)
-                    terms[at] = cols @ g2.T
-                if gx is None:
-                    continue
-                if lower_g:
-                    gx[a:b] = (wf @ gcols).reshape(cin, b - a, h, w).transpose(1, 0, 2, 3)
-                else:
-                    gcols = (w2.T @ g2).reshape(cin, k, k, b - a, ho, wo)
-                    gxt = np.zeros((cin, b - a, hp, wp), dtype=g.dtype)
-                    for i in range(k):
-                        for j in range(k):
-                            gxt[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, i, j]
-                    gx[a:b] = gxt[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3)
+        def slices(a, b):
+            mine = scratch.setdefault(threading.get_ident(), {})
+            if lower_g:
+                gcols = _im2col(g[a:b], k, 1, k - 1 - padding, mine)
+                x2 = np.ascontiguousarray(x.data[a:b].transpose(1, 0, 2, 3)).reshape(cin, (b - a) * h * w)
+                terms[a] = gcols @ x2.T
+            else:
+                cols = _im2col(x.data[a:b], k, stride, padding, mine)
+                g2 = np.ascontiguousarray(g[a:b].transpose(1, 0, 2, 3)).reshape(cout, (b - a) * ho * wo)
+                terms[a] = cols @ g2.T
+            if gx is None:
+                return
+            if lower_g:
+                gx[a:b] = (wf @ gcols).reshape(cin, b - a, h, w).transpose(1, 0, 2, 3)
+            else:
+                gcols = (w2.T @ g2).reshape(cin, k, k, b - a, ho, wo)
+                gxt = np.zeros((cin, b - a, hp, wp), dtype=g.dtype)
+                for i in range(k):
+                    for j in range(k):
+                        gxt[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, i, j]
+                gx[a:b] = gxt[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3)
 
         _run_spans(spans, slices)
-        gwt = terms.pop()
-        while terms:  # a left fold from the last slice, as one serial walk sums them
-            gwt = gwt + terms.pop()
+        del scratch  # before the fold, whose sums can then reuse its memory (peak RSS)
+        # a left fold from the last slice, the same order at any worker count; each term is freed once added
+        gwt = functools.reduce(np.add, (terms.pop(a) for a, _ in reversed(spans)))
         if lower_g:
             gw = gwt.reshape(cout, k, k, cin)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
         else:
@@ -875,29 +860,23 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> tupl
     xhat = np.empty(shape, dtype=x.dtype)
     out = np.empty(shape, dtype=x.dtype)
 
-    def means(group):
-        for a, b in group:
-            part[a:b] = rows[a:b].sum(axis=2)
-
-    _run_spans(spans, means)
+    _run_spans(spans, lambda a, b: rows[a:b].sum(axis=2, out=part[a:b]))
     mu = part.sum(axis=0) / m
 
-    def variances(group):
-        for a, b in group:
-            xc = np.subtract(rows[a:b], mu[:, None], out=xhat[a:b])
-            part[a:b] = np.multiply(xc, xc, out=out[a:b]).sum(axis=2)  # affine() overwrites them
+    def variances(a, b):
+        xc = np.subtract(rows[a:b], mu[:, None], out=xhat[a:b])
+        part[a:b] = np.multiply(xc, xc, out=out[a:b]).sum(axis=2)  # affine() overwrites them
 
     _run_spans(spans, variances)
     var = part.sum(axis=0) / m
     sigma = np.sqrt(var + eps)
     gb = gamma.data[:, None]
 
-    def affine(group):
-        for a, b in group:
-            xh = xhat[a:b]
-            xh /= sigma[:, None]
-            y = np.multiply(xh, gb, out=out[a:b])
-            y += beta.data[:, None]
+    def affine(a, b):
+        xh = xhat[a:b]
+        xh /= sigma[:, None]
+        y = np.multiply(xh, gb, out=out[a:b])
+        y += beta.data[:, None]
 
     _run_spans(spans, affine)
 
@@ -907,21 +886,19 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> tupl
         gx = np.empty(shape, dtype=np.result_type(g, xhat))
         pgamma, pbeta = np.empty((n, c), dtype=gx.dtype), np.empty((n, c), dtype=g.dtype)
 
-        def sums(group):
-            for a, b in group:
-                pgamma[a:b] = np.multiply(g[a:b], xhat[a:b], out=gx[a:b]).sum(axis=2)  # grads() overwrites them
-                pbeta[a:b] = g[a:b].sum(axis=2)
+        def sums(a, b):
+            pgamma[a:b] = np.multiply(g[a:b], xhat[a:b], out=gx[a:b]).sum(axis=2)  # grads() overwrites them
+            pbeta[a:b] = g[a:b].sum(axis=2)
 
         _run_spans(spans, sums)
         ggamma, gbeta = pgamma.sum(axis=0), pbeta.sum(axis=0)
         kgamma, kbeta, kscale = (ggamma / m)[:, None], (gbeta / m)[:, None], gb / sigma[:, None]
 
-        def grads(group):
-            for a, b in group:
-                gxb = np.multiply(xhat[a:b], kgamma, out=gx[a:b])
-                np.subtract(g[a:b], gxb, out=gxb)
-                gxb -= kbeta
-                gxb *= kscale
+        def grads(a, b):
+            gxb = np.multiply(xhat[a:b], kgamma, out=gx[a:b])
+            np.subtract(g[a:b], gxb, out=gxb)
+            gxb -= kbeta
+            gxb *= kscale
 
         _run_spans(spans, grads)
         return gx.reshape(x_shape), ggamma.reshape(gamma.shape), gbeta.reshape(beta.shape)

@@ -311,6 +311,17 @@ class TestTrainUsageErrors:
         assert re.search(f"config hash {saved} != expected [0-9a-f]{{64}}", capsys.readouterr().err)
         assert {f.name: f.read_bytes() for f in run.iterdir()} == before
 
+    def test_non_integer_labels_usage_error(self, synth_dir, tmp_path_factory, tmp_path, capsys):
+        entries, meta = read_container(synth_dir / "train.bin")
+        floats = tmp_path / "floats.bin"
+        write_container(floats, dict(entries, labels=entries["labels"].astype(np.float64)), meta)
+        out = tmp_path / "run"
+        rc = main(["train", "--arch", _tiny_arch_file(tmp_path_factory), "--data", str(floats),
+                   "--out", str(out), "--steps", "2", "--batch", "8", "--log-every", "1"])
+        assert rc == 2
+        assert f"{floats}: dataset: labels are float64, not integer class ids" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("train_classes,named", [(4, "train"), (2, "test")])
     def test_more_classes_than_the_model_usage_error(self, synth_dir, two_class, tmp_path, capsys,
                                                      train_classes, named):

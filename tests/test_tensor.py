@@ -915,46 +915,55 @@ def short_switches():
 
 class TestRunSpans:
     SPANS = [(i, i + 1) for i in range(7)]
+    GROUPS = [SPANS[:2], SPANS[2:4], SPANS[4:]]  # three workers
 
-    def test_contiguous_near_equal_groups_one_per_worker(self, monkeypatch):
+    def check_groups(self, seen):
+        """``seen`` holds (thread, span) per call: each span ran once, each group on one thread in order,
+        and group 0 on the calling thread."""
+        assert sorted(span for _, span in seen) == self.SPANS
+        for group in self.GROUPS:
+            assert [span for _, span in seen if span in group] == group
+            assert len({ident for ident, span in seen if span in group}) == 1, group
+        assert {ident for ident, span in seen if span in self.GROUPS[0]} == {threading.get_ident()}
+
+    def test_contiguous_near_equal_groups_one_per_worker(self, monkeypatch, short_switches):
         use_workers(monkeypatch, 3)
         seen = []
-        T._run_spans(self.SPANS, lambda group: seen.append((threading.get_ident(), group)))
-        assert sorted(group for _, group in seen) == [self.SPANS[:2], self.SPANS[2:4], self.SPANS[4:]]
-        caller = threading.get_ident()
-        assert [group for ident, group in seen if ident == caller] == [self.SPANS[:2]]
+        T._run_spans(self.SPANS, lambda lo, hi: seen.append((threading.get_ident(), (lo, hi))))
+        self.check_groups(seen)
 
-    def test_an_active_tape_splits_the_same_groups(self, monkeypatch):
+    def test_an_active_tape_splits_the_same_groups(self, monkeypatch, short_switches):
         use_workers(monkeypatch, 3)
         seen = []
         with Tape():
-            T._run_spans(self.SPANS, lambda group: seen.append(group))
-        assert sorted(seen) == [self.SPANS[:2], self.SPANS[2:4], self.SPANS[4:]]
+            T._run_spans(self.SPANS, lambda lo, hi: seen.append((threading.get_ident(), (lo, hi))))
+        self.check_groups(seen)
 
     @pytest.mark.parametrize("why", ["one worker", "one span"])
     def test_serial_on_the_calling_thread(self, monkeypatch, why):
         use_workers(monkeypatch, 1 if why == "one worker" else 2)
         spans = self.SPANS[:1] if why == "one span" else self.SPANS
         seen = []
-        T._run_spans(spans, lambda group: seen.append((threading.get_ident(), group)))
-        assert seen == [(threading.get_ident(), spans)]
+        T._run_spans(spans, lambda lo, hi: seen.append((threading.get_ident(), (lo, hi))))
+        assert seen == [(threading.get_ident(), span) for span in spans]
         assert T._POOL is None
 
     @pytest.mark.parametrize("failing", [(0,), (1,), (1, 2)], ids=["caller", "worker", "two-workers"])
     def test_first_error_reaches_the_caller_after_every_group(self, monkeypatch, failing):
+        """A failing group raises at its first span; the spans of every other group still all run."""
         use_workers(monkeypatch, 3)
         finished = []
 
-        def run(group):
-            index = group[0][0] // 2
-            time.sleep(0.2 if index == 2 else 0.01)
-            if index in failing:
-                raise ValueError(f"group {index}")
-            finished.append(index)
+        def run(lo, hi):
+            group = min(lo // 2, 2)
+            time.sleep(0.07 if group == 2 else 0.01)
+            if group in failing:
+                raise ValueError(f"group {group}")
+            finished.append(lo)
 
         with pytest.raises(ValueError, match=f"group {failing[0]}"):
             T._run_spans(self.SPANS, run)
-        assert sorted(finished) == sorted({0, 1, 2} - set(failing))
+        assert sorted(finished) == [lo for lo, _ in self.SPANS if min(lo // 2, 2) not in failing]
 
     @pytest.mark.parametrize("lower_g", [True, False], ids=["output-gradient", "input"])
     @pytest.mark.parametrize("failing", [(0,), (1,), (1, 2)], ids=["caller", "worker", "two-workers"])
@@ -984,6 +993,39 @@ class TestRunSpans:
         with pytest.raises(ValueError, match=f"group {failing[0]}"):
             tape.backward(loss)
         assert sorted(finished) == [i for i in range(6) if i // 2 not in failing]
+
+    @pytest.mark.parametrize("lower_g", [True, False], ids=["output-gradient", "input"])
+    def test_conv_keeps_one_scratch_per_thread(self, monkeypatch, short_switches, lower_g):
+        """In one conv forward and one conv backward, every _im2col call on a thread gets that thread's one
+        scratch dict, and no two threads, nor the two passes, share one."""
+        use_workers(monkeypatch, 3)
+        monkeypatch.setattr(T, "_PATCH_BYTES", 1)  # one slice per image: groups [0, 1], [2, 3], [4, 5]
+        rng = np.random.default_rng(40)
+        x = Tensor(rng.normal(size=(6, 2, 5, 5)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(2 if lower_g else 3, 2, 3, 3)).astype(np.float32), requires_grad=True)
+        im2col = T._im2col
+        calls = []
+
+        def patched(arr, k, stride, padding, scratch):
+            calls.append((threading.get_ident(), scratch))
+            time.sleep(0.01)  # so that the pool threads take a group each
+            return im2col(arr, k, stride, padding, scratch)
+
+        monkeypatch.setattr(T, "_im2col", patched)
+        with Tape() as tape:
+            loss = T.tsum(T.conv2d(x, w, padding=1))
+        forward = calls[:]
+        calls.clear()
+        tape.backward(loss)
+        owners = []
+        for seen in (forward, calls):
+            assert len(seen) == 6
+            mine = {}
+            for ident, scratch in seen:
+                assert mine.setdefault(ident, scratch) is scratch
+            assert threading.get_ident() in mine and len(mine) >= 2
+            owners.extend(mine.values())
+        assert len({id(scratch) for scratch in owners}) == len(owners)
 
     @pytest.mark.parametrize("cpus,blas,workers", [(2, 1, 2), (2, 2, 1), (2, 3, 1), (2, None, 1), (4, 2, 2), (3, 2, 1)])
     def test_worker_count(self, monkeypatch, cpus, blas, workers):
