@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
 import math
 import os
 import threading
@@ -443,45 +444,54 @@ def _span_workers() -> int:
     return _WORKERS
 
 
-def _walk(run: Callable[[int, int], object], group: list[tuple[int, int]]) -> None:
-    for lo, hi in group:
-        run(lo, hi)
-
-
 def _run_spans(spans: list[tuple[int, int]], run: Callable[[int, int], object]) -> None:
-    """``run(lo, hi)`` once per span, the spans split into contiguous groups, one group per worker thread.
+    """``run(lo, hi)`` once per span, each span taken by the next worker thread that is free.
 
     Every map-sized pass of a train step or an eval forward is such a body:
     the conv slices, forward and backward, style pooling's blocks, batch
     norm's passes, ReLU, the block tail and its backward, and the gradient
     fan-in sums. A body writes only its span's rows of a preallocated
     output, or its span's entry of a dict, so the values are those of a
-    serial walk, with or without an active Tape; scratch that outlives a
-    span is kept per thread. A sum over spans is left to the calling thread,
-    in span order, after the call. With one worker or one span the calling
-    thread walks every span in order. Otherwise it walks the first group and
-    the pool the rest, each group in order, and the call returns, or raises
-    the first error in group order, only once every group has finished.
+    serial walk whichever thread runs which span, with or without an active
+    Tape; scratch that outlives a span is kept per thread. A sum over spans
+    is left to the calling thread, in span order, after the call. With one
+    worker or one span the calling thread walks every span in order.
+    Otherwise the calling thread and up to ``workers - 1`` pool threads each
+    take the next unclaimed span from one shared counter until none is left
+    (self-scheduling, one span per claim), so a thread that the host slows
+    holds up no fixed share of the spans. A thread whose body
+    raises takes no more spans. The call returns, or raises the error of the
+    lowest failing span, only once no span is still running; the error is
+    then the same whichever thread ran which span.
     """
     global _POOL
-    workers = 1 if len(spans) < 2 else _span_workers()
-    if workers < 2:
-        _walk(run, spans)
-        return
-    if _POOL is None:
+    threads = 1 if len(spans) < 2 else min(_span_workers(), len(spans))
+    if threads > 1 and _POOL is None:
         from concurrent.futures import ThreadPoolExecutor
 
-        _POOL = ThreadPoolExecutor(workers - 1, thread_name_prefix="style_recal-spans")
-    parts = min(workers, len(spans))
-    groups = [spans[len(spans) * i // parts : len(spans) * (i + 1) // parts] for i in range(parts)]
-    futures = [_POOL.submit(_walk, run, group) for group in groups[1:]]
+        _POOL = ThreadPoolExecutor(_span_workers() - 1, thread_name_prefix="style_recal-spans")
+    tickets, errors = itertools.count(), {}
+
+    def take():
+        for i in tickets:  # next() on a count is atomic under the GIL: each index is handed out once
+            if i >= len(spans):
+                return
+            try:
+                run(*spans[i])
+            except Exception as error:
+                errors[i] = error
+                return
+
+    futures = [_POOL.submit(take) for _ in range(threads - 1)]
     try:
-        _walk(run, groups[0])
+        take()
     finally:
         for future in futures:
-            future.exception()  # waits, so no group still writes once the call is over
+            future.exception()  # waits, so no span still runs once the call is over
     for future in futures:
         future.result()
+    if errors:
+        raise errors[min(errors)]
 
 
 def style_pool(x: Tensor, kinds) -> Tensor:
@@ -679,11 +689,11 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0, *,
     _PATCH_BYTES)`` near-equal slices (at most one per image), and each slice's
     gemm result is stored straight into the NCHW output. A conv whose whole
     patch matrix fits in the budget is one slice. The forward's and the
-    backward's slices go through ``_run_spans``, so they may be split over
-    threads; each thread keeps one ``_im2col`` scratch for the call. The
+    backward's slices go through ``_run_spans``, so they may run on any
+    thread; each thread keeps one ``_im2col`` scratch for the call. The
     backward keeps each slice's weight-gradient term by its first image,
     and the calling thread sums them last slice first, so the weight
-    gradient does not depend on how the slices are grouped over threads.
+    gradient does not depend on which thread ran which slice.
 
     An inference epilogue may be given: per-output-channel ``scale`` and
     ``shift`` arrays, applied as ``y * scale + shift``, then ``fmax(y, 0)``

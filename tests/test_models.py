@@ -4,7 +4,10 @@ import hashlib
 import itertools
 import json
 import multiprocessing
+import random
 import sys
+import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
@@ -489,7 +492,7 @@ def use_workers(monkeypatch, workers: int) -> None:
 
 
 class CountingPool(ThreadPoolExecutor):
-    """The span pool, counting the groups submitted to it."""
+    """The span pool, counting the span loops submitted to it."""
 
     def __init__(self, workers: int):
         super().__init__(workers, thread_name_prefix="style_recal-spans")
@@ -677,6 +680,53 @@ def test_pooled_step_and_eval_equal_the_serial_ones_over_drawn_architectures(cfg
         assert pooled.keys() == serial.keys()
         for key, want in serial.items():
             np.testing.assert_array_equal(pooled[key], want, err_msg=f"{key}, {workers} workers")
+
+
+
+@pytest.mark.parametrize("recalib", ["srm", "se:8"])
+def test_values_do_not_depend_on_which_thread_runs_which_span(monkeypatch, recalib):
+    """Every span body first sleeps a seeded random while, so the spans land on the threads in varied
+    orders. With one image per span, a resnet20 train step (loss, every parameter gradient, every BN
+    buffer) and the eval logits on 2 and 3 workers have the bytes of the 1-worker ones."""
+    rng = np.random.default_rng(43)
+    images = rng.normal(size=(4, 3, 8, 8)).astype(np.float32)
+    labels = rng.integers(0, 10, size=4)
+    monkeypatch.setattr(T, "_PATCH_BYTES", 1)
+    run_spans = T._run_spans
+
+    def digests(workers):
+        delays = random.Random(workers)
+        threads = collections.Counter()
+
+        def delayed(spans, run):
+            def body(lo, hi):
+                time.sleep(delays.random() * 1e-4)
+                threads[threading.get_ident()] += 1
+                run(lo, hi)
+
+            run_spans(spans, body)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "_WORKERS", workers)
+            pool = ThreadPoolExecutor(max(workers - 1, 1))
+            mp.setattr(T, "_POOL", pool)
+            mp.setattr(T, "_run_spans", delayed)
+            try:
+                model = build_resnet(cifar_resnet_config(20, recalib), seed=44)
+                with Tape() as tape:
+                    loss = cross_entropy(model(Tensor(images)), labels)
+                tape.backward(loss)
+                out = {"loss": loss.data, "logits": model.eval()(Tensor(images)).data}
+            finally:
+                pool.shutdown()
+        out.update({name: p.grad for name, p in model.named_parameters()})
+        out.update({name: buf for name, buf in model.named_buffers()})
+        assert len(threads) == workers, threads  # every pool thread ran spans, and so did the caller
+        return {key: hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest() for key, value in out.items()}
+
+    serial = digests(1)
+    for workers in (2, 3):
+        assert digests(workers) == serial, f"{workers} workers"
 
 
 MLP_BN = '{"pooling": ["avg", "std", "max"], "integration": "mlp", "use_bn": true}'

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import subprocess
@@ -589,7 +590,7 @@ def _batch_norm_backward_whole_map(x, gamma, g, axes, eps):
 
 
 # Shapes whose image blocks go through the span workers, one with images of over 500 values, so
-# that numpy drops the GIL inside each block and the groups run at once.
+# that numpy drops the GIL inside each block and the threads run at once.
 POOLED_BN_SHAPES = [((8, 5, 6, 6), (0, 2, 3)), ((16, 7), (0,)), ((6, 4, 16, 16), (0, 2, 3))]
 
 
@@ -906,7 +907,7 @@ def use_workers(monkeypatch, workers: int) -> None:
 
 @pytest.fixture
 def short_switches():
-    """Switch threads often, so that a group writing another group's rows or scratch would show."""
+    """Switch threads often, so that a thread writing another span's rows or scratch would show."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     yield
@@ -915,29 +916,35 @@ def short_switches():
 
 class TestRunSpans:
     SPANS = [(i, i + 1) for i in range(7)]
-    GROUPS = [SPANS[:2], SPANS[2:4], SPANS[4:]]  # three workers
 
-    def check_groups(self, seen):
-        """``seen`` holds (thread, span) per call: each span ran once, each group on one thread in order,
-        and group 0 on the calling thread."""
-        assert sorted(span for _, span in seen) == self.SPANS
-        for group in self.GROUPS:
-            assert [span for _, span in seen if span in group] == group
-            assert len({ident for ident, span in seen if span in group}) == 1, group
-        assert {ident for ident, span in seen if span in self.GROUPS[0]} == {threading.get_ident()}
-
-    def test_contiguous_near_equal_groups_one_per_worker(self, monkeypatch, short_switches):
+    @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+    def test_each_span_runs_once_each_thread_in_span_order(self, monkeypatch, short_switches, taped):
         use_workers(monkeypatch, 3)
+        spans = [(i, i + 1) for i in range(500)]
         seen = []
-        T._run_spans(self.SPANS, lambda lo, hi: seen.append((threading.get_ident(), (lo, hi))))
-        self.check_groups(seen)
+        with Tape() if taped else contextlib.nullcontext():
+            T._run_spans(spans, lambda lo, hi: seen.append((threading.get_ident(), (lo, hi))))
+        assert sorted(span for _, span in seen) == spans
+        for ident in {ident for ident, _ in seen}:  # each thread takes the next free span, so in increasing order
+            mine = [span for thread, span in seen if thread == ident]
+            assert mine == sorted(mine)
 
-    def test_an_active_tape_splits_the_same_groups(self, monkeypatch, short_switches):
+    def test_returns_only_once_no_span_still_runs(self, monkeypatch):
+        """A pool thread's span sleeps before it marks itself finished; the caller's span waits until a pool
+        thread has taken one, so the call cannot return before one of those slow spans ends."""
         use_workers(monkeypatch, 3)
-        seen = []
-        with Tape():
-            T._run_spans(self.SPANS, lambda lo, hi: seen.append((threading.get_ident(), (lo, hi))))
-        self.check_groups(seen)
+        caller, taken, finished = threading.get_ident(), threading.Event(), []
+
+        def run(lo, hi):
+            if threading.get_ident() == caller:
+                assert taken.wait(10), "no pool thread took a span"
+            else:
+                taken.set()
+                time.sleep(0.1)
+            finished.append(lo)
+
+        T._run_spans(self.SPANS[:4], run)
+        assert sorted(finished) == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("why", ["one worker", "one span"])
     def test_serial_on_the_calling_thread(self, monkeypatch, why):
@@ -948,40 +955,51 @@ class TestRunSpans:
         assert seen == [(threading.get_ident(), span) for span in spans]
         assert T._POOL is None
 
-    @pytest.mark.parametrize("failing", [(0,), (1,), (1, 2)], ids=["caller", "worker", "two-workers"])
-    def test_first_error_reaches_the_caller_after_every_group(self, monkeypatch, failing):
-        """A failing group raises at its first span; the spans of every other group still all run."""
+    @staticmethod
+    def check_stopped(taken, finished, failing):
+        """``taken`` holds (thread, index) per started span: a thread that raised took no more, every span
+        below the lowest failing one finished, and no started span was still running when the call raised."""
+        for ident in {ident for ident, _ in taken}:
+            mine = [i for thread, i in taken if thread == ident]
+            assert not set(mine[:-1]) & set(failing), mine
+        assert set(range(min(failing))) <= set(finished)
+        assert {i for _, i in taken} == set(finished) | ({i for _, i in taken} & set(failing))
+
+    @pytest.mark.parametrize("failing", [(0,), (1,), (1, 2), (5, 3)], ids=["first", "second", "two", "two-late"])
+    def test_lowest_failing_span_raises_once_every_thread_stopped(self, monkeypatch, failing):
         use_workers(monkeypatch, 3)
-        finished = []
+        taken, finished = [], []
 
         def run(lo, hi):
-            group = min(lo // 2, 2)
-            time.sleep(0.07 if group == 2 else 0.01)
-            if group in failing:
-                raise ValueError(f"group {group}")
+            taken.append((threading.get_ident(), lo))
+            time.sleep(0.01 * (len(self.SPANS) - lo))  # a later span fails first
+            if lo in failing:
+                raise ValueError(f"span {lo}")
             finished.append(lo)
 
-        with pytest.raises(ValueError, match=f"group {failing[0]}"):
+        with pytest.raises(ValueError, match=f"span {min(failing)}"):
             T._run_spans(self.SPANS, run)
-        assert sorted(finished) == [lo for lo, _ in self.SPANS if min(lo // 2, 2) not in failing]
+        self.check_stopped(taken, finished, failing)
 
     @pytest.mark.parametrize("lower_g", [True, False], ids=["output-gradient", "input"])
-    @pytest.mark.parametrize("failing", [(0,), (1,), (1, 2)], ids=["caller", "worker", "two-workers"])
-    def test_conv_backward_error_reaches_the_caller_after_every_group(self, monkeypatch, lower_g, failing):
+    @pytest.mark.parametrize("failing", [(0,), (1,), (1, 2), (5, 3)], ids=["first", "second", "two", "two-late"])
+    def test_conv_backward_raises_the_lowest_failing_slice_once_every_thread_stopped(self, monkeypatch, lower_g,
+                                                                                     failing):
         """Image i of the input and of the output gradient holds i + 1, so the patched _im2col knows its slice."""
         use_workers(monkeypatch, 3)
-        monkeypatch.setattr(T, "_PATCH_BYTES", 1)  # one slice per image: groups [0, 1], [2, 3], [4, 5]
+        monkeypatch.setattr(T, "_PATCH_BYTES", 1)  # one slice per image
         marks = np.arange(1, 7, dtype=np.float32)[:, None, None, None]
         x = Tensor(np.broadcast_to(marks, (6, 2, 5, 5)).copy(), requires_grad=True)
         w = Tensor(np.ones((2 if lower_g else 3, 2, 3, 3), np.float32), requires_grad=True)
         im2col = T._im2col
-        finished = []
+        taken, finished = [], []
 
         def patched(arr, *args):
             index = int(arr.flat[0]) - 1
-            time.sleep(0.2 if index // 2 == 2 else 0.01)
-            if index // 2 in failing:
-                raise ValueError(f"group {index // 2}")
+            taken.append((threading.get_ident(), index))
+            time.sleep(0.01 * (6 - index))  # a later slice fails first
+            if index in failing:
+                raise ValueError(f"slice {index}")
             cols = im2col(arr, *args)
             finished.append(index)
             return cols
@@ -990,16 +1008,16 @@ class TestRunSpans:
             y = T.conv2d(x, w, padding=1)
             loss = T.tsum(T.mul(y, Tensor(np.broadcast_to(marks, y.shape).copy())))
         monkeypatch.setattr(T, "_im2col", patched)
-        with pytest.raises(ValueError, match=f"group {failing[0]}"):
+        with pytest.raises(ValueError, match=f"slice {min(failing)}"):
             tape.backward(loss)
-        assert sorted(finished) == [i for i in range(6) if i // 2 not in failing]
+        self.check_stopped(taken, finished, failing)
 
     @pytest.mark.parametrize("lower_g", [True, False], ids=["output-gradient", "input"])
     def test_conv_keeps_one_scratch_per_thread(self, monkeypatch, short_switches, lower_g):
         """In one conv forward and one conv backward, every _im2col call on a thread gets that thread's one
         scratch dict, and no two threads, nor the two passes, share one."""
         use_workers(monkeypatch, 3)
-        monkeypatch.setattr(T, "_PATCH_BYTES", 1)  # one slice per image: groups [0, 1], [2, 3], [4, 5]
+        monkeypatch.setattr(T, "_PATCH_BYTES", 1)  # one slice per image
         rng = np.random.default_rng(40)
         x = Tensor(rng.normal(size=(6, 2, 5, 5)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.normal(size=(2 if lower_g else 3, 2, 3, 3)).astype(np.float32), requires_grad=True)
@@ -1008,7 +1026,7 @@ class TestRunSpans:
 
         def patched(arr, k, stride, padding, scratch):
             calls.append((threading.get_ident(), scratch))
-            time.sleep(0.01)  # so that the pool threads take a group each
+            time.sleep(0.01)  # so that the pool threads take spans too
             return im2col(arr, k, stride, padding, scratch)
 
         monkeypatch.setattr(T, "_im2col", patched)
