@@ -32,7 +32,7 @@ from .data import (
 )
 from .gradcheck import SUITE_TOLERANCE, run_suite
 from .models import ArchitectureConfig, ResNet, build_resnet, named_config, parse_recalib
-from .tensor import _blas_threads, _span_workers
+from .tensor import settle_runtime
 from .train import TrainConfig, config_hash, evaluate, load_checkpoint, load_model, train
 
 __all__ = ["main", "entry"]
@@ -75,11 +75,10 @@ def _load_data(path_flag: str | None, split: str) -> Dataset:
 
 
 def _write_manifest(out: Path, command: str, resolved: dict) -> None:
-    """The resolved configuration, plus the threads in effect: BLAS's (None for an unknown BLAS) and the
-    span workers of forwards and backwards (1 runs them serially)."""
+    """The resolved configuration, plus the runtime in effect (``tensor.settle_runtime``'s record)."""
     out.mkdir(parents=True, exist_ok=True)
-    threads = {"blas": _blas_threads(), "span_workers": _span_workers()}
-    manifest = {"command": command, "version": __version__, "resolved_config": resolved, "threads": threads}
+    manifest = {"command": command, "version": __version__, "resolved_config": resolved,
+                "threads": settle_runtime()}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
@@ -351,6 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    settle_runtime()
     try:
         return args.func(args)
     except (UsageError, DataError) as exc:

@@ -107,6 +107,11 @@ def default_checks() -> dict[str, Callable[[np.random.Generator], float]]:
         x, w = _t(rng, 2, 3, 5, 5), _t(rng, 4, 3, 3, 3)
         return T.grad_check(lambda ts: _sq_loss(T.conv2d(ts[0], ts[1], stride=2, padding=1)), [x, w])
 
+    @op("conv2d_lowered_grad")  # stride 1 and cout <= cin: the backward lowers the output gradient
+    def _conv_lowered(rng):
+        x, w = _t(rng, 2, 3, 5, 5), _t(rng, 2, 3, 3, 3)
+        return T.grad_check(lambda ts: _sq_loss(T.conv2d(ts[0], ts[1], stride=1, padding=1)), [x, w])
+
     @op("maxpool2d")
     def _maxpool(rng):
         x = _t(rng, 2, 2, 6, 6)

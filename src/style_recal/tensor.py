@@ -48,6 +48,7 @@ __all__ = [
     "batch_norm_train",
     "cross_entropy",
     "grad_check",
+    "settle_runtime",
     "POOL_EPS",
     "POOL_KINDS",
 ]
@@ -165,8 +166,8 @@ class Tape:
     each record and its gradient once it has run, and leaves ``.grad`` on the
     leaves only. It consumes the tape: the step's activations are freed as the
     replay passes them, and a second ``backward`` raises. Because memory is
-    freed step after step, ``train()`` has glibc keep it mapped; otherwise the
-    allocator returns it to the kernel and the next step faults it in again.
+    freed step after step, ``settle_runtime`` has glibc keep it mapped; otherwise
+    the allocator returns it to the kernel and the next step faults it in again.
     """
 
     def __init__(self):
@@ -314,18 +315,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), backward)
 
 
-def relu(a) -> Tensor:
-    """``fmax(x, 0)``, and ``g * (out > 0)`` backward, a block of leading indices at a time through ``_run_spans``.
+def _relu_into(x: np.ndarray, out: np.ndarray) -> None:
+    """``out = where(x > 0, x, 0)`` with NaN -> 0: ``fmax``, then ``+ 0.0`` because numpy's float64
+    ``fmax(-0.0, 0)`` signs the zero by the element's lane, which would tie it to the span length."""
+    np.fmax(x, 0, out=out)
+    out += 0.0
 
-    fmax(x, 0) equals where(x > 0, x, 0) (NaN -> 0) up to the sign of the
-    zero a -0.0 input gives, which numpy's loop may set by the element's lane
-    (it does in float64 on x86-64 with numpy 2.4: +0.0 in full vectors).
-    """
+
+def relu(a) -> Tensor:
+    """``_relu_into``, and ``g * (out > 0)`` backward, a block of leading indices at a time through ``_run_spans``."""
     a = _as_tensor(a)
     out = np.empty_like(a.data)
     x1, o1 = np.atleast_1d(a.data, out)
     spans = _spans(len(o1), o1[0].nbytes)
-    _run_spans(spans, lambda lo, hi: np.fmax(x1[lo:hi], 0, out=o1[lo:hi]))
+    _run_spans(spans, lambda lo, hi: _relu_into(x1[lo:hi], o1[lo:hi]))
 
     def backward(g):
         gx = np.empty(out.shape, g.dtype)
@@ -400,11 +403,8 @@ def _spans(count: int, item_bytes: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-# Threads that run the span loops of forwards and backwards:
-# None until the first loop that could use them, then _span_workers() sets it.
-# The pool holds the workers beyond the calling thread; a forked child drops its
-# copy, which has no threads.
-_WORKERS: int | None = None
+# The span pool: the threads beyond the calling one that run span loops, started
+# by the first loop that can use them. A forked child drops its copy, which has no threads.
 _POOL = None
 
 
@@ -416,32 +416,55 @@ def _drop_pool() -> None:
 os.register_at_fork(after_in_child=_drop_pool)
 
 
-def _blas_threads() -> int | None:
-    """Threads of the OpenBLAS that numpy bundles, or None for any other BLAS."""
+@functools.cache
+def settle_runtime() -> dict:
+    """Set the process-wide runtime once and return it; run by the first of the CLI's start,
+    ``train()``, ``eval_hits`` and the first span loop, never at import.
+
+    * BLAS: numpy's bundled OpenBLAS starts a thread per CPU, leaving none for
+      the span workers; it is pinned to 1 thread unless OPENBLAS_NUM_THREADS,
+      GOTO_NUM_THREADS or OMP_NUM_THREADS is set.
+    * malloc (glibc only): steps and eval batches free each activation as they
+      go, which glibc would hand back to the kernel, to be faulted in again.
+      Blocks under 32 MiB come from the heap, trimmed only past 1 GiB free at
+      its top, and all threads share one arena, so the workers reuse the pages
+      the calling thread frees.
+    * span workers: usable CPUs // BLAS threads, at least 1; 1 for another BLAS.
+
+    The record: ``blas`` (None for another BLAS), ``blas_pinned``, ``malloc_set``
+    (glibc accepted every setting) and ``span_workers`` (1 runs spans serially).
+    """
+    getter = setter = None
     base = Path(np.__file__).parent
     for lib in sorted(base.parent.glob("numpy.libs/*openblas*")) + sorted(base.glob(".libs/*openblas*")):
         try:
             handle = ctypes.CDLL(str(lib))
         except OSError:
             continue
-        for sym in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            fn = getattr(handle, sym, None)
-            if fn is not None:
-                fn.argtypes = ()
-                fn.restype = ctypes.c_int
-                return int(fn())
-    return None
+        sym = next((s for s in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                                "openblas_get_num_threads64_", "openblas_get_num_threads") if hasattr(handle, s)), None)
+        if sym is not None:
+            getter, setter = getattr(handle, sym), getattr(handle, sym.replace("get", "set"), None)
+            break
+    pinned = setter is not None and not any(
+        os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+    if pinned:
+        setter(1)
+    blas = None if getter is None else int(getter())  # ctypes' default restype is the C int these return
 
+    try:
+        glibc = (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError):  # no confstr, or a libc that does not know the name
+        glibc = False
+    if glibc:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD and M_ARENA_MAX (malloc.h); mallopt returns 1 on success.
+    malloc_set = glibc and all([mallopt(-3, 32 << 20), mallopt(-1, 1 << 30), mallopt(-8, 1)])
 
-def _span_workers() -> int:
-    """Usable CPUs // BLAS threads, at least 1, and 1 when the BLAS is unknown; worked out once."""
-    global _WORKERS
-    if _WORKERS is None:
-        blas = _blas_threads()
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        _WORKERS = max(1, cpus // blas) if blas else 1
-    return _WORKERS
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return {"blas": blas, "blas_pinned": pinned, "malloc_set": malloc_set,
+            "span_workers": max(1, cpus // blas) if blas else 1}
 
 
 def _run_spans(spans: list[tuple[int, int]], run: Callable[[int, int], object]) -> None:
@@ -465,11 +488,12 @@ def _run_spans(spans: list[tuple[int, int]], run: Callable[[int, int], object]) 
     then the same whichever thread ran which span.
     """
     global _POOL
-    threads = 1 if len(spans) < 2 else min(_span_workers(), len(spans))
+    workers = settle_runtime()["span_workers"]
+    threads = 1 if len(spans) < 2 else min(workers, len(spans))
     if threads > 1 and _POOL is None:
         from concurrent.futures import ThreadPoolExecutor
 
-        _POOL = ThreadPoolExecutor(_span_workers() - 1, thread_name_prefix="style_recal-spans")
+        _POOL = ThreadPoolExecutor(workers - 1, thread_name_prefix="style_recal-spans")
     tickets, errors = itertools.count(), {}
 
     def take():
@@ -583,7 +607,7 @@ def residual_relu(b: Tensor, s: Tensor, g: Tensor | None = None) -> Tensor:
     """A residual block's output as one op: ``relu(b * g + s)`` for an NCHW branch ``b``, a
     shortcut ``s`` of its shape and (N, C) gates ``g``, or ``relu(b + s)`` without gates.
 
-    The output is written ``fmax(b * g + s, 0)`` in place, a block of about
+    The output is ``b * g + s`` then ``_relu_into``, written in place a block of about
     ``_PATCH_BYTES`` of images at a time, through ``_run_spans``: the float ops
     of a channel-scaling ``mul``, ``add`` and ``relu`` in that order, with their
     dtype promotion, so the values are those of the separate ops. The backward
@@ -608,7 +632,7 @@ def residual_relu(b: Tensor, s: Tensor, g: Tensor | None = None) -> Tensor:
         else:
             np.multiply(bd[lo:hi], gb[lo:hi], out=o)
             o += sd[lo:hi]
-        np.fmax(o, 0, out=o)
+        _relu_into(o, o)
 
     spans = _spans(len(out), out[0].nbytes)
     _run_spans(spans, tail)
@@ -696,7 +720,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0, *,
     gradient does not depend on which thread ran which slice.
 
     An inference epilogue may be given: per-output-channel ``scale`` and
-    ``shift`` arrays, applied as ``y * scale + shift``, then ``fmax(y, 0)``
+    ``shift`` arrays, applied as ``y * scale + shift``, then ``_relu_into``
     with ``relu``. It runs on each slice's (cout, pixels) gemm result while
     that is in cache, before the transposing store, and its float ops are
     those of eval-mode batch norm's ``mul`` and ``add`` and of ``relu``, in
@@ -760,7 +784,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0, *,
         if shift is not None:
             y += shift[:, None]
         if relu:
-            np.fmax(y, 0, out=y)
+            _relu_into(y, y)
         out[a:b] = y.reshape(cout, b - a, ho, wo).transpose(1, 0, 2, 3)
 
     _run_spans(spans, forward)

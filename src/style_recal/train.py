@@ -9,10 +9,8 @@ reproduces the uninterrupted run bit for bit.
 from __future__ import annotations
 
 import csv
-import ctypes
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -21,7 +19,7 @@ import numpy as np
 from .container import read_container, write_container
 from .data import DataError, Dataset, augment, iterate_batches
 from .models import ArchitectureConfig, GateTransform, ResNet, build_resnet
-from .tensor import Tape, Tensor, cross_entropy
+from .tensor import Tape, Tensor, cross_entropy, settle_runtime
 
 __all__ = [
     "TrainConfig",
@@ -239,11 +237,11 @@ def eval_hits(model: ResNet, dataset: Dataset, batch_size: int = 256,
     """Correct top-1 predictions over the full set in eval mode; ``gate_transform`` goes to every forward.
 
     The one batched eval-mode loop. A label beyond the model's outputs is a miss; an empty set raises DataError.
-    Like ``train()``, it has glibc keep freed memory mapped, so each batch reuses the last one's pages.
+    Like ``train()``, it settles the runtime first, so each batch reuses the last one's freed pages.
     """
     if len(dataset) == 0:
         raise DataError(f"the {dataset.split} set is empty")
-    _keep_freed_memory_mapped()
+    settle_runtime()
     was_training = model.training
     model.eval()
     correct = 0
@@ -262,39 +260,6 @@ def evaluate(model: ResNet, dataset: Dataset, batch_size: int = 256,
     return eval_hits(model, dataset, batch_size, gate_transform) / len(dataset)
 
 
-# glibc mallopt parameters (malloc.h).
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_M_ARENA_MAX = -8
-
-
-def _keep_freed_memory_mapped() -> bool:
-    """Have glibc keep freed heap memory mapped for reuse; False (a no-op) off glibc.
-
-    ``Tape.backward`` frees each activation as the replay passes it, and an eval
-    batch frees each as the forward passes it. By default glibc returns such
-    memory to the kernel (mmap'd blocks at once, the heap top past a trim
-    threshold), and the next step or batch faults every page in again. Blocks
-    under 32 MiB come from the heap instead, and the heap is trimmed only past
-    1 GiB free at its top. The settings are process-wide. Threads share the one
-    arena, so the span workers (``tensor._run_spans``) reuse the pages
-    the calling thread frees rather than growing an arena of their own.
-    """
-    try:
-        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
-    except (AttributeError, ValueError):  # no confstr, or a libc that does not know the name
-        return False
-    if not libc.startswith("glibc"):
-        return False
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
-    mallopt(_M_ARENA_MAX, 1)
-    return True
-
-
 def train(model: ResNet, dataset: Dataset, cfg: TrainConfig, out_dir: str | Path | None = None,
           eval_dataset: Dataset | None = None, resume_from: str | Path | None = None,
           stop_when=None) -> TrainResult:
@@ -305,7 +270,7 @@ def train(model: ResNet, dataset: Dataset, cfg: TrainConfig, out_dir: str | Path
     A step whose gradients SGD refuses counts in ``aborted_steps`` and leaves
     the parameters, the momentum and the BN running statistics as they were.
     """
-    _keep_freed_memory_mapped()
+    settle_runtime()
     dataset.require_classes(model.config.num_classes)
     if eval_dataset is not None:  # before the first step, so a set that cannot be evaluated costs no steps
         eval_dataset.require_classes(model.config.num_classes)

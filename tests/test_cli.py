@@ -2,8 +2,11 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -355,7 +358,7 @@ class TestTrainEvalPipeline:
         manifest = json.loads((trained_run / "manifest.json").read_text())
         assert manifest["command"] == "train"
         assert "config_hash" in manifest["resolved_config"]
-        assert manifest["threads"] == {"blas": T._blas_threads(), "span_workers": T._span_workers()}
+        assert manifest["threads"] == T.settle_runtime()
 
     def test_eval_checkpoint(self, trained_run, synth_dir, tmp_path_factory, capsys):
         rc = main([
@@ -380,7 +383,7 @@ class TestTrainEvalPipeline:
         assert main(["analyze", "--ckpt", folded, "--data", str(test), "--out", str(tmp_path / "analysis")]) == 0
         manifest = json.loads((tmp_path / "analysis" / "manifest.json").read_text())
         assert manifest["resolved_config"]["arch"]["recalib"]["use_bn"] is False
-        assert manifest["threads"] == {"blas": T._blas_threads(), "span_workers": T._span_workers()}
+        assert manifest["threads"] == T.settle_runtime()
 
     def test_prune_csv_row_count(self, trained_run, synth_dir, tmp_path, capsys):
         rc = main([
@@ -477,6 +480,37 @@ class TestTrainEvalPipeline:
         assert main(["train", *common, "--out", str(resumed), "--steps", "4",
                      "--resume", str(half / "checkpoint.bin")]) == 0
         assert (resumed / "checkpoint.bin").read_bytes() == (full / "checkpoint.bin").read_bytes()
+
+
+@pytest.mark.skipif(T.settle_runtime()["blas"] is None or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs numpy's bundled OpenBLAS and two usable CPUs")
+def test_train_as_typed_is_pooled_and_equals_the_serial_run(tmp_path, tmp_path_factory):
+    """With no BLAS variable set, `train` pins BLAS to 1 thread and runs a span worker per CPU. Its
+    checkpoint.bin and metrics.csv equal, byte for byte, those of runs under OPENBLAS_NUM_THREADS=1 (the
+    same workers) and OPENBLAS_NUM_THREADS=<cpus> (1 worker). 32x32 maps give each conv several spans."""
+    assert main(["synth", "--out", str(tmp_path / "synth"), "--per-class", "8", "--size", "32", "--seed", "3"]) == 0
+    cpus = len(os.sched_getaffinity(0))
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(T.__file__).parents[1]), env.get("PYTHONPATH")]))
+    runs = {}
+    for blas in (None, "1", str(cpus)):
+        out = tmp_path / f"run-{blas}"
+        done = subprocess.run(
+            [sys.executable, "-m", "style_recal", "train", "--arch", _tiny_arch_file(tmp_path_factory),
+             "--recalib", "srm", "--data", str(tmp_path / "synth" / "train.bin"), "--out", str(out),
+             "--steps", "3", "--batch", "16", "--log-every", "1", "--seed", "1"],
+            env=env if blas is None else dict(env, OPENBLAS_NUM_THREADS=blas),
+            capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs[blas] = out
+    threads = {blas: json.loads((out / "manifest.json").read_text())["threads"] for blas, out in runs.items()}
+    assert threads[None]["blas"] == 1 and threads[None]["blas_pinned"] and threads[None]["span_workers"] == cpus
+    assert threads["1"]["span_workers"] == cpus and not threads["1"]["blas_pinned"]
+    assert threads[str(cpus)]["blas"] == cpus and threads[str(cpus)]["span_workers"] == 1
+    for name in ("checkpoint.bin", "metrics.csv"):
+        want = (runs[None] / name).read_bytes()
+        assert (runs["1"] / name).read_bytes() == want, name
+        assert (runs[str(cpus)] / name).read_bytes() == want, name
 
 
 class TestUnusableDataset:

@@ -9,7 +9,7 @@ def test_suite_covers_all_ops_and_blocks():
     names = set(default_checks())
     required = {
         "add", "mul", "matmul", "relu", "sigmoid", "sum",
-        "reshape", "residual_relu", "conv2d", "maxpool2d",
+        "reshape", "residual_relu", "conv2d", "conv2d_lowered_grad", "maxpool2d",
         "cross_entropy", "global_pool_avg", "global_pool_std", "global_pool_max",
         "style_pool_avg_std", "style_pool_avg_std_max", "style_pool_max_ties",
         "linear_layer", "conv_layer", "batchnorm_2d", "batchnorm_4d",

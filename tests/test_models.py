@@ -486,8 +486,8 @@ class TestFusedEvalForward:
 
 
 def use_workers(monkeypatch, workers: int) -> None:
-    """Force the span worker count; Tier-1 runs with default BLAS threads, where it is 1 on most hosts."""
-    monkeypatch.setattr(T, "_WORKERS", workers)
+    """Force the span worker count, whatever the usable CPUs and BLAS threads of the host give."""
+    monkeypatch.setitem(T.settle_runtime(), "span_workers", workers)
     monkeypatch.setattr(T, "_POOL", None)
 
 
@@ -658,7 +658,7 @@ def test_pooled_step_and_eval_equal_the_serial_ones_over_drawn_architectures(cfg
     def run(workers):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(T, "_PATCH_BYTES", 1)
-            mp.setattr(T, "_WORKERS", workers)
+            mp.setitem(T.settle_runtime(), "span_workers", workers)
             pool = CountingPool(max(workers - 1, 1))
             mp.setattr(T, "_POOL", pool)
             try:
@@ -707,7 +707,7 @@ def test_values_do_not_depend_on_which_thread_runs_which_span(monkeypatch, recal
             run_spans(spans, body)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(T, "_WORKERS", workers)
+            mp.setitem(T.settle_runtime(), "span_workers", workers)
             pool = ThreadPoolExecutor(max(workers - 1, 1))
             mp.setattr(T, "_POOL", pool)
             mp.setattr(T, "_run_spans", delayed)

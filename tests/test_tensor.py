@@ -1,4 +1,5 @@
 import contextlib
+import ctypes
 import math
 import os
 import subprocess
@@ -7,6 +8,7 @@ import threading
 import time
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -534,8 +536,7 @@ class TestReluOracle:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(6, 4, 16, 16), (13,), ()])
     def test_blocks_of_leading_indices_equal_the_whole_map(self, monkeypatch, short_switches, shape, dtype, workers):
-        """Every value is the whole map's. The zero that a -0.0 input gives compares by value only: numpy's
-        float64 fmax signs it by the element's lane in its loop (-0.0 alone, +0.0 first of eight)."""
+        """Every byte is the whole map's, the +0.0 a -0.0 input gives included."""
         use_workers(monkeypatch, workers)
         monkeypatch.setattr(T, "_PATCH_BYTES", 1)  # one leading index per span
         rng = np.random.default_rng(26)
@@ -546,11 +547,27 @@ class TestReluOracle:
             out = T.relu(x_t)
             loss = T.tsum(T.mul(out, Tensor(r)))
         tape.backward(loss)
-        want = np.fmax(x, 0)
+        want = np.where(x > 0, x, 0).astype(dtype)
         assert out.data.shape == want.shape and out.data.dtype == want.dtype
-        np.testing.assert_array_equal(out.data, want)
-        assert out.data[x != 0].tobytes() == want[x != 0].tobytes()
+        assert out.data.tobytes() == want.tobytes()
         assert x_t.grad.tobytes() == np.asarray(r * (want > 0)).tobytes()
+
+    @pytest.mark.parametrize("patch_bytes", [1, T._PATCH_BYTES])
+    @pytest.mark.parametrize("length", [1, 8, 9, 17])
+    @pytest.mark.parametrize("op", ["relu", "residual_relu", "conv2d_epilogue"])
+    def test_a_negative_zero_map_gives_positive_zeros(self, monkeypatch, op, length, patch_bytes):
+        """numpy's float64 fmax(-0.0, 0) signs the zero by the element's lane in its loop; each ReLU gives
+        +0.0 bytes whatever the map's and the span's length."""
+        monkeypatch.setattr(T, "_PATCH_BYTES", patch_bytes)
+        neg = np.full((2, 1, 1, length), -0.0)
+        if op == "relu":
+            out = T.relu(Tensor(neg))
+        elif op == "residual_relu":
+            out = T.residual_relu(Tensor(neg), Tensor(neg))  # -0.0 + -0.0 is -0.0
+        else:  # 0 * -1 + -0.0 is -0.0
+            out = T.conv2d(Tensor(np.zeros_like(neg)), Tensor(np.ones((1, 1, 1, 1))), scale=np.array([-1.0]),
+                           shift=np.array([-0.0]), relu=True)
+        assert out.data.tobytes() == np.zeros_like(neg).tobytes()
 
 
 def _batch_norm_oracle(x, gamma, beta, axes, eps):
@@ -900,8 +917,8 @@ class TestDtypeModes:
 
 
 def use_workers(monkeypatch, workers: int) -> None:
-    """Force the span worker count; Tier-1 runs with default BLAS threads, where it is 1 on most hosts."""
-    monkeypatch.setattr(T, "_WORKERS", workers)
+    """Force the span worker count, whatever the usable CPUs and BLAS threads of the host give."""
+    monkeypatch.setitem(T.settle_runtime(), "span_workers", workers)
     monkeypatch.setattr(T, "_POOL", None)
 
 
@@ -1045,32 +1062,72 @@ class TestRunSpans:
             owners.extend(mine.values())
         assert len({id(scratch) for scratch in owners}) == len(owners)
 
-    @pytest.mark.parametrize("cpus,blas,workers", [(2, 1, 2), (2, 2, 1), (2, 3, 1), (2, None, 1), (4, 2, 2), (3, 2, 1)])
-    def test_worker_count(self, monkeypatch, cpus, blas, workers):
-        monkeypatch.setattr(T, "_WORKERS", None)
-        monkeypatch.setattr(T, "_blas_threads", lambda: blas)
+    @pytest.mark.parametrize("cpus,env,loaded,blas,pinned,workers", [
+        (2, {}, 2, 1, True, 2),  # numpy's OpenBLAS at one thread per CPU is pinned to 1
+        (2, {"OPENBLAS_NUM_THREADS": "2"}, 2, 2, False, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 1, 1, False, 2),
+        (2, {"GOTO_NUM_THREADS": "3"}, 3, 3, False, 1),
+        (2, {"OMP_NUM_THREADS": "2"}, 2, 2, False, 1),
+        (2, {"OPENBLAS_NUM_THREADS": ""}, 2, 1, True, 2),  # an empty variable sets nothing
+        (4, {"OPENBLAS_NUM_THREADS": "2"}, 2, 2, False, 2),
+        (3, {"OPENBLAS_NUM_THREADS": "2"}, 2, 2, False, 1),
+        (2, {}, None, None, False, 1),  # another BLAS
+    ])
+    @pytest.mark.parametrize("libc", ["glibc 2.36", None])
+    def test_runtime_record(self, monkeypatch, tmp_path, cpus, env, loaded, blas, pinned, workers, libc):
+        """The BLAS pin, the worker count and the malloc settings, against a stand-in numpy OpenBLAS."""
+        (tmp_path / "numpy.libs").mkdir()
+        (tmp_path / "numpy.libs" / "libscipy_openblas64_-stand-in.so").touch()
+        monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        threads, handle, cdll = [loaded], SimpleNamespace(), ctypes.CDLL
+        if loaded is not None:
+            handle.scipy_openblas_get_num_threads64_ = lambda: threads[0]
+            handle.scipy_openblas_set_num_threads64_ = lambda n: threads.__setitem__(0, n)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: cdll(name) if name is None else handle)
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        assert T._span_workers() == workers
+        monkeypatch.setattr(os, "confstr", lambda name: libc, raising=False)
+        record = T.settle_runtime.__wrapped__()
+        assert record == {"blas": blas, "blas_pinned": pinned, "malloc_set": libc is not None, "span_workers": workers}
+        assert threads == [blas]
 
-    @pytest.mark.skipif(T._blas_threads() is None or len(os.sched_getaffinity(0)) < 2,
+    @pytest.mark.skipif(T.settle_runtime()["blas"] is None or len(os.sched_getaffinity(0)) < 2,
                         reason="needs numpy's bundled OpenBLAS and two usable CPUs")
-    @pytest.mark.parametrize("blas_threads", ["cpus", "1"])
-    def test_nothing_starts_before_a_forward_that_can_use_the_pool(self, blas_threads):
-        """Import starts no thread and imports no executor; a forward starts the pool only with 1-thread BLAS."""
+    @pytest.mark.parametrize("var,value", [(None, None), ("OPENBLAS_NUM_THREADS", "cpus"),
+                                           ("OMP_NUM_THREADS", "cpus"), ("OPENBLAS_NUM_THREADS", "1")])
+    def test_nothing_starts_before_a_forward_that_can_use_the_pool(self, var, value):
+        """Import starts no thread, imports no executor, settles nothing and leaves OpenBLAS's threads as
+        they are; a forward pins BLAS to 1 thread unless a variable sets it, and starts the pool with it."""
         probe = "\n".join([
-            "import sys, threading",
+            "import ctypes, pathlib, sys, threading",
             "import numpy as np",
             "from style_recal import tensor as T",
-            "print(threading.active_count(), 'concurrent.futures' in sys.modules, T._WORKERS)",
+            "base = pathlib.Path(np.__file__).parent",
+            "lib = ctypes.CDLL(str((sorted(base.parent.glob('numpy.libs/*openblas*'))",
+            "                       + sorted(base.glob('.libs/*openblas*')))[0]))",
+            "blas = next(getattr(lib, s) for s in ('scipy_openblas_get_num_threads64_', 'scipy_openblas_get_num_threads',",
+            "            'openblas_get_num_threads64_', 'openblas_get_num_threads') if hasattr(lib, s))",
+            "print(threading.active_count(), 'concurrent.futures' in sys.modules,",
+            "      T.settle_runtime.cache_info().currsize, blas())",
             "T._PATCH_BYTES = 1",
             "T.conv2d(T.Tensor(np.ones((4, 2, 5, 5), np.float32)), T.Tensor(np.ones((3, 2, 3, 3), np.float32)))",
-            "print(T._blas_threads(), T._WORKERS, T._POOL is not None)",
+            "record = T.settle_runtime()",
+            "print(blas(), record['blas'], record['blas_pinned'], record['span_workers'], T._POOL is not None)",
         ])
         cpus = len(os.sched_getaffinity(0))
-        threads = cpus if blas_threads == "cpus" else 1
         src = str(Path(T.__file__).parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        loaded = threads = cpus
+        if var is not None:
+            env[var] = str(cpus) if value == "cpus" else value
+            loaded = threads = int(env[var])
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines() == ["1 False None", f"{threads} {cpus // threads} {threads < cpus}"]
+        if var is None:
+            threads = 1
+        assert done.stdout.splitlines() == [f"1 False 0 {loaded}",
+                                            f"{threads} {threads} {var is None} {cpus // threads} {threads < cpus}"]

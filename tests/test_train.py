@@ -11,7 +11,7 @@ from style_recal.container import read_container, write_container
 from style_recal.data import DataError, Dataset, SynthStyleSpec, synth_style
 from style_recal.models import ArchitectureConfig, StageSpec, build_resnet, cifar_resnet_config, named_config
 from style_recal.recalib import RecalibVariant
-from style_recal.tensor import Parameter, Tape, Tensor, cross_entropy
+from style_recal.tensor import Parameter, Tape, Tensor, cross_entropy, settle_runtime
 from style_recal.train import (
     SGD,
     TrainConfig,
@@ -23,7 +23,6 @@ from style_recal.train import (
     lr_at,
     save_checkpoint,
     step_schedule,
-    _keep_freed_memory_mapped,
     _model_state,
     train,
     write_metrics_csv,
@@ -403,11 +402,19 @@ class TestTrainLoop:
         for k, v in _model_state(model, None).items():  # no step ran: parameters and BN statistics as built
             np.testing.assert_array_equal(v, before[k], err_msg=k)
 
-    def test_eval_keeps_freed_memory_mapped(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(train_module, "_keep_freed_memory_mapped", lambda: calls.append(True))
-        evaluate(build_resnet(tiny_cfg(), seed=0), tiny_data(per_class=2))
-        assert calls == [True]
+    @pytest.mark.parametrize("run", ["train", "evaluate"])
+    def test_the_runtime_is_settled_before_the_first_batch(self, monkeypatch, run):
+        """train() and evaluate() settle the runtime (freed memory kept mapped) once, before any forward."""
+        events = []
+        monkeypatch.setattr(train_module, "settle_runtime", lambda: events.append("settle"))
+        model = build_resnet(tiny_cfg(), seed=0)
+        forward = model.forward
+        monkeypatch.setattr(model, "forward", lambda *a, **k: events.append("forward") or forward(*a, **k))
+        if run == "train":
+            train(model, tiny_data(per_class=2), TrainConfig(steps=2, batch_size=4, log_every=2))
+        else:
+            evaluate(model, tiny_data(per_class=2))
+        assert events[0] == "settle" and events.count("settle") == 1 and "forward" in events
 
     def test_fifty_steps_learn_two_class_style_task(self):
         # Mean-separated two-class set; the styled 20-layer net should fit it
@@ -580,10 +587,10 @@ def test_train_step_memory_peak_holds_only_what_the_backward_reads():
 def test_steady_train_steps_fault_in_few_pages():
     """Steady-state resnet20+SRM train() steps at 32x32, batch 64, each make fewer than 5k minor faults.
 
-    Without train()'s mallopt settings glibc returns the memory the backward
+    Without settle_runtime's mallopt settings glibc returns the memory the backward
     frees to the kernel, and every step faults it in again.
     """
-    if not _keep_freed_memory_mapped():
+    if not settle_runtime()["malloc_set"]:
         pytest.skip("the page-fault bound is set for glibc's allocator")
     import resource
 
