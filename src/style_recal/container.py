@@ -12,6 +12,7 @@ Layout (all integers little-endian):
         ndim   u8
         dims   u32 * ndim
         data   raw little-endian payload, row-major
+    nothing after the last entry
 
 Writes are bitwise-reproducible for identical inputs, and a read followed by
 a write round-trips byte-identically. A write goes to ``<name>.tmp`` in the
@@ -127,4 +128,6 @@ def read_container(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         nbytes = math.prod(dims) * dtype.itemsize
         data = np.frombuffer(take(nbytes), dtype=dtype).reshape(dims).copy()
         entries[name] = data
+    if off != len(raw):
+        raise ContainerError(f"{path}: {len(raw) - off} bytes after the last entry, at offset {off}")
     return entries, meta

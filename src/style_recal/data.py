@@ -52,6 +52,8 @@ class Dataset:
     num_classes: int
 
     def __post_init__(self):
+        if self.labels.ndim != 1:
+            raise DataError(f"dataset: labels have shape {self.labels.shape}, not one class id per image")
         if self.images.ndim != 4 or self.images.shape[0] != self.labels.shape[0]:
             raise DataError(f"dataset: images {self.images.shape} vs labels {self.labels.shape}")
         if not np.issubdtype(self.labels.dtype, np.integer):

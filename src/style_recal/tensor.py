@@ -416,6 +416,22 @@ def _drop_pool() -> None:
 os.register_at_fork(after_in_child=_drop_pool)
 
 
+def _openblas() -> tuple[Callable | None, Callable | None]:
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, looked up at each call;
+    (None, None) for another BLAS, and no setter where the library has none."""
+    base = Path(np.__file__).parent
+    for lib in sorted(base.parent.glob("numpy.libs/*openblas*")) + sorted(base.glob(".libs/*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        sym = next((s for s in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                                "openblas_get_num_threads64_", "openblas_get_num_threads") if hasattr(handle, s)), None)
+        if sym is not None:
+            return getattr(handle, sym), getattr(handle, sym.replace("get", "set"), None)
+    return None, None
+
+
 @functools.cache
 def settle_runtime() -> dict:
     """Set the process-wide runtime once and return it; run by the first of the CLI's start,
@@ -434,18 +450,7 @@ def settle_runtime() -> dict:
     The record: ``blas`` (None for another BLAS), ``blas_pinned``, ``malloc_set``
     (glibc accepted every setting) and ``span_workers`` (1 runs spans serially).
     """
-    getter = setter = None
-    base = Path(np.__file__).parent
-    for lib in sorted(base.parent.glob("numpy.libs/*openblas*")) + sorted(base.glob(".libs/*openblas*")):
-        try:
-            handle = ctypes.CDLL(str(lib))
-        except OSError:
-            continue
-        sym = next((s for s in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                                "openblas_get_num_threads64_", "openblas_get_num_threads") if hasattr(handle, s)), None)
-        if sym is not None:
-            getter, setter = getattr(handle, sym), getattr(handle, sym.replace("get", "set"), None)
-            break
+    getter, setter = _openblas()
     pinned = setter is not None and not any(
         os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
     if pinned:

@@ -245,11 +245,13 @@ def eval_hits(model: ResNet, dataset: Dataset, batch_size: int = 256,
     was_training = model.training
     model.eval()
     correct = 0
-    for images, labels in iterate_batches(dataset, batch_size):
-        logits = model(Tensor(images), gate_transform=gate_transform)
-        correct += int((logits.data.argmax(axis=1) == labels).sum())
-    if was_training:
-        model.train()
+    try:
+        for images, labels in iterate_batches(dataset, batch_size):
+            logits = model(Tensor(images), gate_transform=gate_transform)
+            correct += int((logits.data.argmax(axis=1) == labels).sum())
+    finally:
+        if was_training:
+            model.train()
     return correct
 
 

@@ -314,15 +314,19 @@ class TestTrainUsageErrors:
         assert re.search(f"config hash {saved} != expected [0-9a-f]{{64}}", capsys.readouterr().err)
         assert {f.name: f.read_bytes() for f in run.iterdir()} == before
 
-    def test_non_integer_labels_usage_error(self, synth_dir, tmp_path_factory, tmp_path, capsys):
+    @pytest.mark.parametrize("relabel,message", [
+        (lambda labels: labels.astype(np.float64), "labels are float64, not integer class ids"),
+        (lambda labels: labels[:, None], r"labels have shape \(\d+, 1\), not one class id per image"),
+    ], ids=["float", "column"])
+    def test_malformed_labels_usage_error(self, synth_dir, tmp_path_factory, tmp_path, capsys, relabel, message):
         entries, meta = read_container(synth_dir / "train.bin")
-        floats = tmp_path / "floats.bin"
-        write_container(floats, dict(entries, labels=entries["labels"].astype(np.float64)), meta)
+        bad = tmp_path / "bad.bin"
+        write_container(bad, dict(entries, labels=relabel(entries["labels"])), meta)
         out = tmp_path / "run"
-        rc = main(["train", "--arch", _tiny_arch_file(tmp_path_factory), "--data", str(floats),
+        rc = main(["train", "--arch", _tiny_arch_file(tmp_path_factory), "--data", str(bad),
                    "--out", str(out), "--steps", "2", "--batch", "8", "--log-every", "1"])
         assert rc == 2
-        assert f"{floats}: dataset: labels are float64, not integer class ids" in capsys.readouterr().err
+        assert re.search(f"{re.escape(str(bad))}: dataset: {message}", capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("train_classes,named", [(4, "train"), (2, "test")])

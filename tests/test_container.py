@@ -73,6 +73,15 @@ def test_truncated_rejected(tmp_path):
         read_container(trunc)
 
 
+def test_bytes_after_the_last_entry_rejected(tmp_path):
+    path = tmp_path / "ok.bin"
+    write_container(path, {"x": np.ones(10, dtype=np.float32)}, {})
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes() + b"junk")
+    with pytest.raises(ContainerError, match=f"4 bytes after the last entry, at offset {size}"):
+        read_container(path)
+
+
 def test_unsupported_dtype_rejected(tmp_path):
     with pytest.raises(ContainerError, match="dtype"):
         write_container(tmp_path / "x.bin", {"c": np.zeros(2, dtype=np.complex64)}, {})
@@ -161,7 +170,7 @@ def test_every_truncation_raises_container_error(valid_container):
             read_container(trunc)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(data=st.data())
 def test_corrupted_bytes_read_or_raise_container_error(valid_container, data):
     raw = bytearray(valid_container.read_bytes())

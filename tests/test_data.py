@@ -253,6 +253,10 @@ class TestDatasetContainer:
         with pytest.raises(DataError):
             load_dataset(path)
 
+    def test_labels_must_be_one_class_id_per_image(self):
+        with pytest.raises(DataError, match=r"labels have shape \(2, 1\)"):
+            Dataset(np.zeros((2, 3, 4, 4), np.float32), np.zeros((2, 1), np.int64), "train", 4)
+
     def test_label_range_validated(self):
         with pytest.raises(DataError, match="labels"):
             Dataset(

@@ -164,7 +164,7 @@ class TestGlobalPool:
         assert (global_pool(x, "max").data >= global_pool(x, "avg").data).all()
 
     @given(lam=st.floats(min_value=0.01, max_value=100.0), seed=st.integers(0, 2**16))
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     def test_positive_scale_equivariance(self, lam, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(2, 3, 4, 4)).astype(np.float64)

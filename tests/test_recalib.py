@@ -330,7 +330,7 @@ class TestChannelRecalib:
         assert np.abs(g0[:, others] - g1[:, others]).max() > 1e-6
 
     @given(seed=st.integers(0, 2**16))
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=30)
     def test_gate_range_property(self, seed):
         rng = np.random.default_rng(seed)
         layer = ChannelRecalib(3, RecalibVariant.srm(), rng=rng)

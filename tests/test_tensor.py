@@ -1,5 +1,6 @@
 import contextlib
 import ctypes
+import itertools
 import math
 import os
 import subprocess
@@ -505,6 +506,24 @@ class TestStylePool:
         both = T.style_pool(x, ("max", "avg")).data
         np.testing.assert_array_equal(both[..., 0], T.style_pool(x, "max").data)
         np.testing.assert_array_equal(both[..., 1], T.style_pool(x, "avg").data)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("kinds", [k for r in (1, 2, 3) for k in itertools.combinations(T.POOL_KINDS, r)], ids="-".join)
+    def test_row_blocks_equal_the_whole_map(self, monkeypatch, short_switches, kinds, workers):
+        """One row per span on 1-3 workers: the features and the input gradient are the one-block call's bytes."""
+        rng = np.random.default_rng(28)
+        x = rng.normal(size=(4, 6, 32, 32)).astype(np.float32)
+        g = rng.normal(size=(4, 6, len(kinds))).astype(np.float32)
+        runs = []
+        for n, patch in ((1, T._PATCH_BYTES), (workers, 1)):
+            use_workers(monkeypatch, n)
+            monkeypatch.setattr(T, "_PATCH_BYTES", patch)
+            with Tape() as tape:
+                out = T.style_pool(Tensor(x, requires_grad=True), kinds)
+            ((_, _, backward),) = tape._records
+            (gx,) = backward(g)
+            runs.append((out.data.tobytes(), gx.tobytes()))
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("kinds", [(), ("avg", "avg"), ("median",), "median"])
     def test_bad_kinds_rejected(self, kinds):

@@ -11,7 +11,7 @@ from style_recal.container import read_container, write_container
 from style_recal.data import DataError, Dataset, SynthStyleSpec, synth_style
 from style_recal.models import ArchitectureConfig, StageSpec, build_resnet, cifar_resnet_config, named_config
 from style_recal.recalib import RecalibVariant
-from style_recal.tensor import Parameter, Tape, Tensor, cross_entropy, settle_runtime
+from style_recal.tensor import Parameter, ShapeError, Tape, Tensor, cross_entropy, settle_runtime
 from style_recal.train import (
     SGD,
     TrainConfig,
@@ -401,6 +401,20 @@ class TestTrainLoop:
         assert not (tmp_path / "run").exists()
         for k, v in _model_state(model, None).items():  # no step ran: parameters and BN statistics as built
             np.testing.assert_array_equal(v, before[k], err_msg=k)
+
+    @pytest.mark.parametrize("fails", ["forward", "gate_transform"])
+    def test_a_failing_eval_leaves_the_model_in_training_mode(self, fails):
+        model = build_resnet(tiny_cfg(), seed=0)
+        data = tiny_data(per_class=2)
+        if fails == "forward":  # one image channel where the stem takes three
+            data = Dataset(data.images[:, :1], data.labels, data.split, data.num_classes)
+
+        def refuse(stage, block, g):
+            raise RuntimeError("gate_transform")
+
+        with pytest.raises(ShapeError if fails == "forward" else RuntimeError):
+            evaluate(model, data, gate_transform=refuse if fails == "gate_transform" else None)
+        assert model.training
 
     @pytest.mark.parametrize("run", ["train", "evaluate"])
     def test_the_runtime_is_settled_before_the_first_batch(self, monkeypatch, run):
