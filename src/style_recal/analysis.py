@@ -60,7 +60,6 @@ def capture_record(model: ResNet, dataset: Dataset, batch_size: int = 256) -> An
     """Eval pass over the set, recording every layer's gate vector per image."""
     if not model.recalib_layers():
         warnings.warn("capture requested on a model without recalibration layers; record is empty")
-    model.eval()
     chunks: dict[tuple[int, int], list[np.ndarray]] = {}
 
     def record(stage_idx: int, block_idx: int, g: np.ndarray) -> np.ndarray:
@@ -103,7 +102,6 @@ def prune_eval(model: ResNet, dataset: Dataset, stage: int, ratio: float,
     stages_with_recalib = {si for si, _, _ in model.recalib_layers()}
     if stage not in stages_with_recalib:
         raise ValueError(f"stage {stage} has no recalibration layers (recalibrated stages: {sorted(stages_with_recalib)})")
-    model.eval()
     return evaluate(model, dataset, batch_size, gate_transform=prune_gate_transform(stage, ratio))
 
 

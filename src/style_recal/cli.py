@@ -33,7 +33,7 @@ from .data import (
 from .gradcheck import SUITE_TOLERANCE, run_suite
 from .models import ArchitectureConfig, ResNet, build_resnet, named_config, parse_recalib
 from .tensor import settle_runtime
-from .train import TrainConfig, config_hash, evaluate, load_checkpoint, load_model, train
+from .train import TrainConfig, _check_sets, config_hash, evaluate, load_checkpoint, load_model, train
 
 __all__ = ["main", "entry"]
 
@@ -85,11 +85,7 @@ def _write_manifest(out: Path, command: str, resolved: dict) -> None:
 def _cmd_train(args) -> int:
     arch = _load_arch(args.arch, args.recalib)
     dataset = _load_data(args.data, "train")
-    dataset.require_classes(arch.num_classes)
-    test_set = None
-    if args.eval_every:
-        test_set = _load_data(args.test_data or args.data, "test")
-        test_set.require_classes(arch.num_classes)
+    test_set = _load_data(args.test_data or args.data, "test") if args.eval_every else None
     try:
         schedule = None
         if args.schedule:
@@ -111,8 +107,7 @@ def _cmd_train(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(f"train: {exc}") from exc
-    if len(dataset) < cfg.batch_size:
-        raise UsageError(f"train: dataset of {len(dataset)} examples is smaller than --batch {cfg.batch_size}")
+    _check_sets(arch.num_classes, dataset, cfg.batch_size, test_set)
     chash = config_hash(asdict(arch), cfg.trajectory_dict())
     model = build_resnet(arch, seed=args.seed)
     if args.resume is not None:  # checked before anything is written; train() loads it again with the optimizer

@@ -157,10 +157,6 @@ class ResidualBlock(Module):
             self.proj_conv = None
             self.proj_bn = None
 
-    @property
-    def has_identity_shortcut(self) -> bool:
-        return self.proj_conv is None
-
     def branch(self, x: Tensor) -> Tensor:
         h = x
         for i, (conv, bn) in enumerate(self.pairs, start=1):
@@ -266,15 +262,6 @@ class ResNet(Module):
         if folded:
             self.config = replace(self.config, recalib=replace(self.config.recalib, use_bn=False))
         return folded
-
-    @property
-    def weighted_layer_count(self) -> int:
-        """Stem conv + residual-branch convs + classifier (projections excluded)."""
-        count = 1 + 1  # stem conv, classifier
-        for stage in self.stages:
-            for block in stage:
-                count += len(block.pairs)
-        return count
 
 
 def build_resnet(config: ArchitectureConfig, seed: int = 0) -> ResNet:

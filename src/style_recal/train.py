@@ -262,6 +262,19 @@ def evaluate(model: ResNet, dataset: Dataset, batch_size: int = 256,
     return eval_hits(model, dataset, batch_size, gate_transform) / len(dataset)
 
 
+def _check_sets(num_classes: int, dataset: Dataset, batch_size: int, eval_dataset: Dataset | None) -> None:
+    """DataError unless a run can use its sets: neither has more classes than the model's outputs,
+    the training set holds a batch and the eval set is not empty. ``train`` checks before the first
+    step, so a set that cannot be used costs no steps; the CLI checks before it writes anything."""
+    dataset.require_classes(num_classes)
+    if eval_dataset is not None:
+        eval_dataset.require_classes(num_classes)
+        if len(eval_dataset) == 0:
+            raise DataError(f"the {eval_dataset.split} set is empty")
+    if len(dataset) < batch_size:
+        raise DataError(f"the {dataset.split} set has {len(dataset)} examples, fewer than the batch size {batch_size}")
+
+
 def train(model: ResNet, dataset: Dataset, cfg: TrainConfig, out_dir: str | Path | None = None,
           eval_dataset: Dataset | None = None, resume_from: str | Path | None = None,
           stop_when=None) -> TrainResult:
@@ -273,14 +286,8 @@ def train(model: ResNet, dataset: Dataset, cfg: TrainConfig, out_dir: str | Path
     the parameters, the momentum and the BN running statistics as they were.
     """
     settle_runtime()
-    dataset.require_classes(model.config.num_classes)
-    if eval_dataset is not None:  # before the first step, so a set that cannot be evaluated costs no steps
-        eval_dataset.require_classes(model.config.num_classes)
-        if len(eval_dataset) == 0:
-            raise DataError(f"the {eval_dataset.split} set is empty")
+    _check_sets(model.config.num_classes, dataset, cfg.batch_size, eval_dataset)
     n = len(dataset)
-    if n < cfg.batch_size:
-        raise ValueError(f"dataset of {n} examples smaller than batch size {cfg.batch_size}")
     steps_per_epoch = n // cfg.batch_size  # partial trailing batches are dropped
 
     opt = SGD(dict(model.named_parameters()), momentum=cfg.momentum, weight_decay=cfg.weight_decay)

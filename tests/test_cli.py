@@ -252,7 +252,7 @@ class TestTrainUsageErrors:
         (["--log-every", "0"], "log_every must be >= 1, got 0"),
         (["--batch", "0"], "batch_size must be >= 2, got 0"),
         (["--batch", "1"], "batch_size must be >= 2, got 1"),
-        (["--batch", "128"], "dataset of 64 examples is smaller than --batch 128"),
+        (["--batch", "128"], "the train set has 64 examples, fewer than the batch size 128"),
     ])
     def test_bad_value_is_named_and_writes_nothing(self, synth_dir, tmp_path_factory, tmp_path, capsys,
                                                    flags, named):
@@ -339,6 +339,17 @@ class TestTrainUsageErrors:
                    "--test-data", str(synth_dir / "test.bin")])
         assert rc == 2
         assert f"the {named} set has 4 classes, more than the model's 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_test_data_usage_error(self, two_class, tmp_path, capsys):
+        empty = tmp_path / "empty.bin"
+        save_dataset(empty, Dataset(np.zeros((0, 3, 8, 8), np.float32), np.zeros(0, np.int64), "test", 2))
+        out = tmp_path / "run"
+        rc = main(["train", "--arch", str(two_class / "arch.json"), "--data", str(two_class / "synth" / "train.bin"),
+                   "--out", str(out), "--steps", "2", "--batch", "8", "--log-every", "1", "--eval-every", "1",
+                   "--test-data", str(empty)])
+        assert rc == 2
+        assert "the test set is empty" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from style_recal import gradcheck
-from style_recal.gradcheck import SUITE_TOLERANCE, default_checks, run_suite
+from style_recal.gradcheck import default_checks, run_suite
 from style_recal.tensor import GradCheckError
 
 
@@ -16,11 +16,6 @@ def test_suite_covers_all_ops_and_blocks():
         "srm_block", "se_block", "mlp_bn_variant", "cfc_nobn_variant",
     }
     assert required <= names
-
-
-def test_single_seed_suite_passes():
-    results = run_suite(seeds=[0])
-    assert max(results.values()) < SUITE_TOLERANCE
 
 
 def test_nan_error_fails_the_suite(monkeypatch):

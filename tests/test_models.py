@@ -6,20 +6,24 @@ import json
 import multiprocessing
 import random
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import use_workers
 from style_recal import layers, models
 from style_recal import tensor as T
 from style_recal.analysis import capture_record, prune_eval, prune_gate_transform
+from style_recal.complexity import cfc_variant_extra_params, count_params, mlp_variant_extra_params
 from style_recal.data import Dataset
 from style_recal.layers import BatchNorm, global_pool
 from style_recal.models import (
@@ -33,7 +37,7 @@ from style_recal.models import (
 )
 from style_recal.recalib import RecalibVariant
 from style_recal.tensor import Tape, Tensor, cross_entropy, relu, reshape
-from style_recal.train import TrainConfig, train
+from style_recal.train import TrainConfig, load_checkpoint, load_model, save_checkpoint, train
 
 
 def as_dataset(images: np.ndarray) -> Dataset:
@@ -49,10 +53,19 @@ def small_cfg(recalib=None, blocks=1, num_classes=4):
     )
 
 
+
+def _captured_gates(model, data) -> np.ndarray:
+    return np.concatenate([g for _, g in sorted(capture_record(model, data).gates.items())], axis=1)
+
+
+ANALYSES = [_captured_gates, functools.partial(prune_eval, stage=0, ratio=0.5)]
+
 class TestConfig:
     def test_depth_formula(self):
-        assert build_resnet(cifar_resnet_config(20)).weighted_layer_count == 20
-        assert build_resnet(cifar_resnet_config(56)).weighted_layer_count == 56
+        for depth in (20, 56):
+            model = build_resnet(cifar_resnet_config(depth))
+            # the stem conv, the residual-branch convs and the classifier; projections do not count
+            assert 2 + sum(len(block.pairs) for stage in model.stages for block in stage) == depth
 
     def test_bad_depth_rejected(self):
         with pytest.raises(ValueError):
@@ -127,7 +140,7 @@ class TestStructure:
         for si, stage in enumerate(model.stages):
             for bi, block in enumerate(stage):
                 expect_identity = not (si >= 1 and bi == 0)
-                assert block.has_identity_shortcut == expect_identity
+                assert (block.proj_conv is None) == expect_identity
 
     def test_logits_shape(self):
         model = build_resnet(small_cfg(num_classes=7), seed=0)
@@ -169,7 +182,7 @@ class TestCapture:
         assert record.gates == {}
 
     def test_captured_gates_match_direct_invocation(self):
-        model = build_resnet(small_cfg("srm"), seed=3)
+        model = build_resnet(small_cfg("srm"), seed=3).eval()
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(size=(2, 3, 8, 8)).astype(np.float32))
         record = capture_record(model, as_dataset(x.data))
@@ -183,6 +196,28 @@ class TestCapture:
                 g = block.recalib(branch).data
                 np.testing.assert_array_equal(record.gates[(si, bi)], g)
                 h = block(h)
+
+    @pytest.mark.parametrize("analyse", ANALYSES, ids=["capture", "prune"])
+    def test_capture_and_prune_keep_the_mode(self, analyse):
+        model = build_resnet(small_cfg("srm"), seed=3)
+        data = as_dataset(np.zeros((2, 3, 8, 8), dtype=np.float32))
+        for mode in (model.train, model.eval):
+            training = mode().training
+            analyse(model, data)
+            assert model.training == training
+
+    @pytest.mark.parametrize("analyse", ANALYSES, ids=["capture", "prune"])
+    def test_training_mode_gives_the_eval_mode_result(self, analyse):
+        """From training mode the pass still uses the running statistics and leaves them as they were."""
+        model = build_resnet(small_cfg("srm"), seed=3)
+        randomize_bn(model, 4)
+        data = as_dataset(np.random.default_rng(5).normal(size=(4, 3, 8, 8)).astype(np.float32))
+        expected = analyse(model.eval(), data)
+        buffers = {k: v.copy() for k, v in model.named_buffers()}
+        got = analyse(model.train(), data)
+        np.testing.assert_array_equal(got, expected)
+        for k, v in model.named_buffers():
+            np.testing.assert_array_equal(v, buffers[k], err_msg=k)
 
     def test_forced_half_gates_equal_halved_branch(self):
         model = build_resnet(small_cfg("srm"), seed=5)
@@ -213,23 +248,7 @@ class TestIdentityLimits:
         out = block(h, gate_cb=lambda g: np.zeros_like(g))
         np.testing.assert_array_equal(out.data, h.data)
 
-    def test_fold_bn_after_training_step(self):
-        from style_recal.tensor import Tape
-
-        model = build_resnet(small_cfg("srm"), seed=9)
-        rng = np.random.default_rng(10)
-        x = Tensor(rng.normal(size=(4, 3, 8, 8)).astype(np.float32))
-        with Tape():
-            model(x)  # one train-mode pass populates running stats
-        model.eval()
-        folded = model.fold_bn()
-        assert folded == len(model.recalib_layers())
-        g_eval = model(x).data  # folded path now active
-        assert np.isfinite(g_eval).all()
-
     def test_fold_rewrites_the_layer_for_inference(self, tmp_path):
-        from style_recal.train import load_checkpoint, save_checkpoint
-
         model = build_resnet(small_cfg("srm"), seed=9)
         x = Tensor(np.random.default_rng(10).normal(size=(4, 3, 8, 8)).astype(np.float32))
         with Tape():
@@ -243,17 +262,6 @@ class TestIdentityLimits:
         assert model.fold_bn() == 0
         with pytest.raises(ValueError, match=r"integrate\.bn\.gamma"):  # saved, but no longer in the model
             load_checkpoint(tmp_path / "unfolded.bin", model)
-
-    @pytest.mark.parametrize("recalib", ["se:2", '{"pooling": ["avg", "std"], "integration": "mlp", "use_bn": true}'])
-    def test_fold_leaves_mlp_integration_unchanged(self, recalib):
-        model = build_resnet(small_cfg(recalib), seed=9)
-        config = model.config
-        before = {n: p.data.copy() for n, p in model.named_parameters()}
-        assert model.fold_bn() == 0
-        after = {n: p.data for n, p in model.named_parameters()}
-        assert after.keys() == before.keys() and model.config is config
-        for name, value in before.items():
-            np.testing.assert_array_equal(after[name], value)
 
 
 # sha256 of the JSON list [arch, recalib, [[key, shape, dtype], ...]] over the
@@ -344,87 +352,6 @@ def bottleneck_cfg():
 class TestFusedEvalForward:
     """In eval mode each (conv, BN[, ReLU]) runs as one conv2d with an epilogue; values stay those of the ops."""
 
-    CASES = [(cifar_resnet_config(20, r), 16) for r in ("none", "srm", "se:8")] + [(bottleneck_cfg(), 40)]
-
-    @pytest.mark.parametrize("cfg,size", CASES, ids=["resnet20", "resnet20-srm", "resnet20-se8", "bottleneck"])
-    @pytest.mark.parametrize("sliced", [False, True], ids=["whole", "sliced"])
-    def test_logits_equal_op_by_op_oracle(self, monkeypatch, cfg, size, sliced):
-        model = build_resnet(cfg, seed=3)
-        randomize_bn(model, 4)
-        model.eval()
-        x = Tensor(np.random.default_rng(5).normal(size=(6, 3, size, size)).astype(np.float32))
-        if sliced:  # every conv, block tail and style-pooling block takes one image (one row) at a time
-            monkeypatch.setattr(T, "_PATCH_BYTES", 1)
-        want = op_by_op_forward(model, x).data
-        calls = []
-        conv2d = T.conv2d
-
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("scale") is not None)
-            return conv2d(*args, **kwargs)
-
-        tails = []
-        residual_relu = T.residual_relu
-
-        def counting_tails(b, s, g=None):
-            tails.append(g is not None)
-            return residual_relu(b, s, g)
-
-        monkeypatch.setattr(layers, "conv2d", counting)
-        monkeypatch.setattr(models, "residual_relu", counting_tails)
-        got = model(x).data
-        assert calls and all(calls)  # every conv went through the epilogue
-        # Each block's tail is one op, with gates wherever the block has a recalibration layer.
-        assert tails == [cfg.recalib is not None] * sum(s.blocks for s in cfg.stages)
-        np.testing.assert_array_equal(got, want)
-
-    @pytest.mark.parametrize("sliced", [False, True], ids=["whole", "sliced"])
-    def test_captured_gates_and_pruned_accuracy_equal_op_by_op(self, monkeypatch, sliced):
-        model = build_resnet(cifar_resnet_config(20, "srm"), seed=12)
-        randomize_bn(model, 13)
-        model.eval()
-        rng = np.random.default_rng(14)
-        images = rng.normal(size=(12, 3, 16, 16)).astype(np.float32)
-        labels = rng.integers(0, 10, size=12)
-        data = Dataset(images, labels, "test", 10)
-        if sliced:
-            monkeypatch.setattr(T, "_PATCH_BYTES", 1)
-        batches = [Tensor(images[i : i + 5]) for i in range(0, 12, 5)]
-
-        parts = {}
-
-        def record(stage, block, g):
-            parts.setdefault((stage, block), []).append(g.copy())
-            return g
-
-        for x in batches:
-            op_by_op_forward(model, x, record)
-        captured = capture_record(model, data, batch_size=5)
-        assert captured.layers == sorted(parts)
-        for layer in captured.layers:
-            np.testing.assert_array_equal(captured.gates[layer], np.concatenate(parts[layer]), err_msg=str(layer))
-        for ratio in (0.0, 0.25, 0.5, 0.75, 1.0):
-            transform = prune_gate_transform(1, ratio)
-            logits = np.concatenate([op_by_op_forward(model, x, transform).data for x in batches])
-            np.testing.assert_array_equal(
-                np.concatenate([model(x, gate_transform=transform).data for x in batches]), logits)
-            assert prune_eval(model, data, 1, ratio, batch_size=5) == (logits.argmax(axis=1) == labels).sum() / 12
-
-    @pytest.mark.parametrize("recalib", ["srm", "se:8"])
-    def test_float64_gates_promote_like_the_ops(self, recalib):
-        model = build_resnet(cifar_resnet_config(20, recalib), seed=15)
-        randomize_bn(model, 16)
-        model.eval()
-        x = Tensor(np.random.default_rng(17).normal(size=(4, 3, 16, 16)).astype(np.float32))
-
-        def to_float64(stage, block, g):
-            return g.astype(np.float64)
-
-        got = model(x, gate_transform=to_float64).data
-        want = op_by_op_forward(model, x, to_float64).data
-        assert got.dtype == want.dtype == np.float64
-        np.testing.assert_array_equal(got, want)
-
     @pytest.mark.parametrize("recalib", ["none", "srm"])
     def test_eval_forward_holds_three_stage_maps(self, recalib):
         """At most a block's input, its inner activation and its branch output, plus conv scratch.
@@ -483,12 +410,6 @@ class TestFusedEvalForward:
                 np.testing.assert_array_equal(grads[name], g, err_msg=name)
             else:  # the oracle's mul sums each gate gradient over axes, residual_relu by einsum
                 assert np.abs(grads[name] - g).max() <= 1e-5 * np.abs(g).max(), name
-
-
-def use_workers(monkeypatch, workers: int) -> None:
-    """Force the span worker count, whatever the usable CPUs and BLAS threads of the host give."""
-    monkeypatch.setitem(T.settle_runtime(), "span_workers", workers)
-    monkeypatch.setattr(T, "_POOL", None)
 
 
 class CountingPool(ThreadPoolExecutor):
@@ -590,7 +511,7 @@ def run_digests(cfg, size, dtype, patch_bytes, workers, blas, sleeps):
     interval = sys.getswitchinterval()
     with pytest.MonkeyPatch.context() as mp, T.using_dtype(dtype):
         mp.setattr(T, "_PATCH_BYTES", patch_bytes)
-        mp.setitem(T.settle_runtime(), "span_workers", workers)
+        use_workers(mp, workers)
         pool = CountingPool(max(workers - 1, 1))
         mp.setattr(T, "_POOL", pool)
         mp.setattr(T, "_run_spans", delayed)
@@ -638,6 +559,101 @@ def test_values_do_not_depend_on_the_threads(case, dtype, patch_bytes, workers, 
     assert pooled == serial
     if patch_bytes == 1:  # one image or row per span: the pool ran spans, and with sleeps every thread did
         assert submitted > 0 and (not sleeps or threads == workers), (submitted, threads)
+
+
+def to_float64(stage, block, g):
+    return g.astype(np.float64)
+
+
+@settings(max_examples=40)
+@given(case=small_archs(), dtype=st.sampled_from([np.float32, np.float64]),
+       patch_bytes=st.sampled_from([1, T._PATCH_BYTES]))
+@example(case=(cifar_resnet_config(20, "srm"), 16), dtype=np.float32, patch_bytes=1)
+@example(case=(cifar_resnet_config(20, "se:8"), 16), dtype=np.float64, patch_bytes=T._PATCH_BYTES)
+@example(case=(bottleneck_cfg(), 40), dtype=np.float32, patch_bytes=T._PATCH_BYTES)
+def test_model_invariants(case, dtype, patch_bytes):
+    """On one thread, for any architecture: the recalibration adds the closed form's parameters; the eval
+    forward (every conv with its BN epilogue, each block one residual_relu) equals op_by_op_forward bit for
+    bit, as do capture_record's gates and prune_eval's accuracy; save, load_model, save gives the same
+    bytes; and fold_bn folds exactly the cfc+BN layers, leaving any other model as it was, and a folded
+    model keeps its gates within criterion 4's 1e-5, has the BN-free variant's parameter count and
+    restores from its checkpoint with the same logits."""
+    cfg, size = case
+    variant = cfg.recalib
+    images = np.random.default_rng(43).normal(size=(4, 3, size, size)).astype(dtype)
+    data, x = as_dataset(images), Tensor(images)
+    with pytest.MonkeyPatch.context() as mp, T.using_dtype(dtype), tempfile.TemporaryDirectory() as tmp:
+        use_workers(mp, 1)
+        mp.setattr(T, "_PATCH_BYTES", patch_bytes)
+        model = build_resnet(cfg, seed=3)
+        randomize_bn(model, 4)
+        model.eval()
+        if variant is None:
+            extra = 0
+        elif variant.integration == "cfc":
+            extra = cfc_variant_extra_params(cfg.stages, variant.d, variant.use_bn)
+        else:
+            extra = mlp_variant_extra_params(cfg.stages, variant.d, variant.se_reduction, variant.use_bn)
+        assert count_params(model).added_by_recalib == extra
+
+        epilogues, tails = [], []
+        conv2d, residual_relu = T.conv2d, T.residual_relu
+
+        def counting(*args, **kwargs):
+            epilogues.append(kwargs.get("scale") is not None)
+            return conv2d(*args, **kwargs)
+
+        def counting_tails(b, s, g=None):
+            tails.append(g is not None)
+            return residual_relu(b, s, g)
+
+        mp.setattr(layers, "conv2d", counting)
+        mp.setattr(models, "residual_relu", counting_tails)
+        stage = model.recalib_layers()[-1][0] if variant else 0
+        for transform in (None, to_float64, prune_gate_transform(stage, 0.5)):  # the pruned oracle logits last
+            want = op_by_op_forward(model, x, transform).data
+            epilogues.clear()
+            tails.clear()
+            got = model(x, gate_transform=transform).data
+            assert epilogues and all(epilogues)
+            assert tails == [variant is not None] * sum(s.blocks for s in cfg.stages)
+            assert got.dtype == (np.float64 if variant and transform is to_float64 else dtype)
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+        if variant is not None:
+            parts = {}
+
+            def record(si, bi, g):
+                parts.setdefault((si, bi), []).append(g.copy())
+                return g
+
+            for lo in (0, 3):
+                op_by_op_forward(model, Tensor(images[lo : lo + 3]), record)
+            gates = capture_record(model, data, batch_size=3).gates
+            assert gates.keys() == parts.keys()
+            for layer, g in gates.items():
+                assert g.tobytes() == np.concatenate(parts[layer]).tobytes(), layer
+            # labelled with the oracle's pruned predictions, so only the oracle's pruning scores 1
+            labelled = Dataset(images, want.argmax(axis=1), "test", cfg.num_classes)
+            assert prune_eval(model, labelled, stage, 0.5, batch_size=4) == 1.0
+
+        saved, again = Path(tmp) / "a.bin", Path(tmp) / "b.bin"
+        save_checkpoint(saved, model, None, 1, "h")
+        save_checkpoint(again, load_model(saved), None, 1, "h")
+        assert again.read_bytes() == saved.read_bytes()
+
+        config, before = model.config, {n: p.data.copy() for n, p in model.named_parameters()}
+        foldable = variant is not None and variant.integration == "cfc" and variant.use_bn
+        assert model.fold_bn() == (len(model.recalib_layers()) if foldable else 0)
+        if not foldable:
+            after = dict(model.named_parameters())
+            assert model.config is config and after.keys() == before.keys()
+            assert all(after[n].data.tobytes() == p.tobytes() for n, p in before.items())
+            return
+        for layer, g in capture_record(model, data, batch_size=3).gates.items():
+            assert np.abs(g - gates[layer]).max() <= 1e-5, layer
+        assert count_params(model) == count_params(build_resnet(replace(cfg, recalib=replace(variant, use_bn=False))))
+        save_checkpoint(saved, model, None, 1, "h")
+        assert load_model(saved).eval()(x).data.tobytes() == model(x).data.tobytes()
 
 
 MLP_BN = '{"pooling": ["avg", "std", "max"], "integration": "mlp", "use_bn": true}'

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import LAST_FIRST, use_workers
 from style_recal import tensor as T
 from style_recal.tensor import GradCheckError, ShapeError, Tape, Tensor, grad_check, using_dtype
 
@@ -445,10 +446,11 @@ class TestResidualRelu:
         if gated:  # the separate ops sum the gate gradient by axes, the op by einsum
             np.testing.assert_allclose(gg, want_g, rtol=1e-5)
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3, LAST_FIRST])
     @pytest.mark.parametrize("gates", [None, np.float32, np.float64], ids=["plain", "gated", "float64-gates"])
     def test_image_blocks_equal_the_whole_map(self, monkeypatch, short_switches, gates, workers):
-        """One image per span on 1-3 workers: the output and the three gradients are the whole-map expressions'."""
+        """One image per span on 1-3 workers or last span first: the output and the three gradients are the
+        whole-map expressions'."""
         use_workers(monkeypatch, workers)
         monkeypatch.setattr(T, "_PATCH_BYTES", 1)
         rng = np.random.default_rng(27)
@@ -507,10 +509,11 @@ class TestStylePool:
         np.testing.assert_array_equal(both[..., 0], T.style_pool(x, "max").data)
         np.testing.assert_array_equal(both[..., 1], T.style_pool(x, "avg").data)
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3, LAST_FIRST])
     @pytest.mark.parametrize("kinds", [k for r in (1, 2, 3) for k in itertools.combinations(T.POOL_KINDS, r)], ids="-".join)
     def test_row_blocks_equal_the_whole_map(self, monkeypatch, short_switches, kinds, workers):
-        """One row per span on 1-3 workers: the features and the input gradient are the one-block call's bytes."""
+        """One row per span on 1-3 workers or last span first: the features and the input gradient are the
+        one-block call's bytes."""
         rng = np.random.default_rng(28)
         x = rng.normal(size=(4, 6, 32, 32)).astype(np.float32)
         g = rng.normal(size=(4, 6, len(kinds))).astype(np.float32)
@@ -551,7 +554,7 @@ class TestReluOracle:
         tape.backward(loss)
         np.testing.assert_array_equal(x_t.grad, np.arange(1, x.size + 1, dtype=dtype) * (x > 0))
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3, LAST_FIRST])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(6, 4, 16, 16), (13,), ()])
     def test_blocks_of_leading_indices_equal_the_whole_map(self, monkeypatch, short_switches, shape, dtype, workers):
@@ -933,12 +936,6 @@ class TestDtypeModes:
     def test_zero_extent_rejected(self):
         with pytest.raises(ShapeError, match="extents"):
             Tensor(np.zeros((2, 0, 3)))
-
-
-def use_workers(monkeypatch, workers: int) -> None:
-    """Force the span worker count, whatever the usable CPUs and BLAS threads of the host give."""
-    monkeypatch.setitem(T.settle_runtime(), "span_workers", workers)
-    monkeypatch.setattr(T, "_POOL", None)
 
 
 @pytest.fixture

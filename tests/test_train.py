@@ -383,6 +383,13 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="the test set is empty"):
             evaluate(build_resnet(tiny_cfg(), seed=0), empty)
 
+    def test_train_set_smaller_than_the_batch_rejected_before_the_first_step(self, tmp_path):
+        model = build_resnet(tiny_cfg(), seed=0)
+        with pytest.raises(DataError, match="the train set has 8 examples, fewer than the batch size 16"):
+            train(model, tiny_data(per_class=2), TrainConfig(steps=2, batch_size=16, log_every=1),
+                  out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("eval_set,message", [
         (lambda: synth_style(SynthStyleSpec(per_class=2, size=8), "test"),
          "the test set has 4 classes, more than the model's 2"),
@@ -471,15 +478,6 @@ class TestArchitectureInMeta:
         assert meta["arch"] == json.loads(json.dumps(asdict(cfg)))
         assert ArchitectureConfig.from_dict(meta["arch"]) == cfg
 
-    @pytest.mark.parametrize("name", ["mlp-bn-avg-std-max", "cfc-max-nobn"])
-    def test_save_load_model_save_is_bitwise(self, tmp_path, name):
-        model = build_resnet(META_ARCHS[name], seed=3)
-        save_checkpoint(tmp_path / "a.bin", model, None, 7, "h")
-        loaded = load_model(tmp_path / "a.bin")
-        assert loaded.config == model.config
-        save_checkpoint(tmp_path / "b.bin", loaded, None, 7, "h")
-        assert (tmp_path / "b.bin").read_bytes() == (tmp_path / "a.bin").read_bytes()
-
     def test_load_model_ignores_optimizer_entries(self, tmp_path):
         model = build_resnet(tiny_cfg(), seed=0)
         result = train(model, tiny_data(), TrainConfig(steps=2, batch_size=8, lr=0.05, seed=0, log_every=2),
@@ -487,17 +485,6 @@ class TestArchitectureInMeta:
         loaded = load_model(result.checkpoint_path)
         for (name, p), (_, q) in zip(model.named_parameters(), loaded.named_parameters()):
             np.testing.assert_array_equal(p.data, q.data, err_msg=name)
-
-    def test_folded_checkpoint_loads_with_its_logits(self, tmp_path):
-        model = build_resnet(tiny_cfg(), seed=0)
-        train(model, tiny_data(), TrainConfig(steps=2, batch_size=8, lr=0.05, seed=0, log_every=2), out_dir=tmp_path)
-        model.eval()
-        assert model.fold_bn() == len(model.recalib_layers())
-        assert model.config.recalib == RecalibVariant(pooling=("avg", "std"), use_bn=False)
-        save_checkpoint(tmp_path / "folded.bin", model, None, 2, "h")
-        loaded = load_model(tmp_path / "folded.bin").eval()
-        images = Tensor(tiny_data(seed=1).images[:16])
-        np.testing.assert_array_equal(loaded(images).data, model(images).data)
 
     def test_checkpoint_with_scalars_stored_as_one_element_loads(self, tmp_path):
         """Checkpoints written while the container stored 0-d arrays as shape (1,) still load."""
