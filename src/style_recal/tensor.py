@@ -89,9 +89,16 @@ def using_dtype(dtype):
 
 
 class Tensor:
-    """A dense floating-point value plus an optional accumulated gradient."""
+    """A dense floating-point value plus an optional accumulated gradient.
 
-    __slots__ = ("data", "requires_grad", "grad", "_node")
+    ``remat``, when set, rebuilds rows of the value from state that its op's
+    backward keeps anyway: ``remat(lo, hi, into=None)`` returns rows ``[lo, hi)``
+    of ``data`` read as (N*C, -1), in ``into`` if given, with ``data``'s bytes.
+    A backward that reads its input through ``remat`` then keeps no copy of
+    it. Only ``batch_norm_train`` sets it.
+    """
+
+    __slots__ = ("data", "requires_grad", "grad", "_node", "remat")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
@@ -110,6 +117,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._node: tuple[object, int] | None = None  # (tape token, record index) of the op that made it
+        self.remat: Callable | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -162,7 +170,11 @@ class Tape:
     closure, never an op output or a constant. An input's slot is the index of
     the record that made it on this tape, the tensor itself for a leaf that
     requires a gradient (a parameter, or a tensor made outside this tape), or
-    None. ``backward`` routes intermediate gradients by record index, drops
+    None. A closure keeps only what its backward reads, and reads an input
+    that has a ``remat`` through it, so a batch-norm output that feeds style
+    pooling and a gated block tail is kept by no record: per residual block a
+    step keeps the conv inputs, BN's ``xhat``, the ReLU outputs and the block
+    output. ``backward`` routes intermediate gradients by record index, drops
     each record and its gradient once it has run, and leaves ``.grad`` on the
     leaves only. It consumes the tape: the step's activations are freed as the
     replay passes them, and a second ``backward`` raises. Because memory is
@@ -537,7 +549,10 @@ def style_pool(x: Tensor, kinds) -> Tensor:
     (the centred values sum to zero, so mu's own dependence on x drops out),
     and max routes g to the first attaining element. The backward recomputes
     the centred values (the same op, so the same values) rather than keeping
-    a map-sized copy alive from the forward to the backward.
+    a map-sized copy alive from the forward to the backward. Only std reads
+    the input map there, and through the input's ``remat`` where it has one,
+    each block rebuilding its own rows; otherwise std keeps the map. avg
+    keeps nothing map-sized, and max only each row's argmax.
 
     Both passes walk the (N*C, H*W) rows in blocks of about ``_PATCH_BYTES``
     through ``_run_spans``, so they may be split over threads. The forward
@@ -560,11 +575,12 @@ def style_pool(x: Tensor, kinds) -> Tensor:
     shape = x.shape
     n, c, h, w = shape
     m = h * w
+    dtype, remat = x.dtype, x.remat
     rows = x.data.reshape(n * c, m)
     blocks = _spans(n * c, m * x.data.itemsize)
-    out = np.empty((n * c, len(kinds)), dtype=x.dtype)
-    mu, sigma = np.empty((2, n * c), dtype=x.dtype)
-    idx = np.empty(n * c, dtype=np.intp)
+    out = np.empty((n * c, len(kinds)), dtype=dtype)
+    mu, sigma = np.empty((2, n * c), dtype=dtype)
+    idx = np.empty(n * c, dtype=np.intp) if "max" in col else None
 
     def stats(a, b):
         block = rows[a:b]
@@ -583,17 +599,19 @@ def style_pool(x: Tensor, kinds) -> Tensor:
     if "std" in col:
         out[:, col["std"]] = sigma
     out = out.reshape(n, c, len(kinds))
+    if "std" not in col or remat is not None:
+        rows = None  # the backward then keeps no map
 
     def backward(g):
         g = g.reshape(n * c, len(kinds))
-        gx = np.empty((n * c, m), dtype=x.dtype)
+        gx = np.empty((n * c, m), dtype=dtype)
         g_avg = g[:, col["avg"]] / m if "avg" in col else None
         g_std = g[:, col["std"]] / (m * sigma) if "std" in col else None
 
         def grads(a, b):
             block = gx[a:b]
             if g_std is not None:
-                np.subtract(rows[a:b], mu[a:b, None], out=block)
+                np.subtract(rows[a:b] if remat is None else remat(a, b, block), mu[a:b, None], out=block)
                 block *= g_std[a:b, None]
                 if g_avg is not None:
                     block += g_avg[a:b, None]
@@ -619,7 +637,9 @@ def residual_relu(b: Tensor, s: Tensor, g: Tensor | None = None) -> Tensor:
     masks once, ``m = grad * (out > 0)``, and computes the separate ops'
     expressions: ``s`` gets ``m``, ``b`` gets ``m * g`` and ``g`` the per-channel
     sums of ``m * b``, by an einsum whose rows do not depend on the batch. It
-    walks the same blocks of images, and keeps ``b`` only when there are gates.
+    walks the same blocks of images, and keeps ``b`` only when there are gates
+    and ``b`` has no ``remat``; with one, each block rebuilds its own rows of
+    ``b`` where the einsum reads them.
     """
     b, s = _as_tensor(b), _as_tensor(s)
     g = None if g is None else _as_tensor(g)
@@ -641,20 +661,22 @@ def residual_relu(b: Tensor, s: Tensor, g: Tensor | None = None) -> Tensor:
 
     spans = _spans(len(out), out[0].nbytes)
     _run_spans(spans, tail)
-    if g is None:
-        bd = None  # the backward's closure then keeps only the output
+    bdtype, remat, c = bd.dtype, b.remat, bd.shape[1]
+    if g is None or remat is not None:
+        bd = None  # the backward's closure then keeps no branch map
 
     def backward(grad):
         m = np.empty(out.shape, grad.dtype)
         if g is not None:
             gbranch = np.empty(out.shape, np.result_type(m, gb))
-            ggates = np.empty(g.shape, np.result_type(m, bd))
+            ggates = np.empty(g.shape, np.result_type(m.dtype, bdtype))
 
         def masked(lo, hi):
             mb = np.multiply(grad[lo:hi], out[lo:hi] > 0, out=m[lo:hi])
             if g is not None:
                 np.multiply(mb, gb[lo:hi], out=gbranch[lo:hi])
-                ggates[lo:hi] = np.einsum("nchw,nchw->nc", mb, bd[lo:hi])  # per image, so per block
+                branch = bd[lo:hi] if remat is None else remat(lo * c, hi * c).reshape(mb.shape)
+                ggates[lo:hi] = np.einsum("nchw,nchw->nc", mb, branch)  # per image, so per block
 
         _run_spans(spans, masked)
         return (m, m) if g is None else (gbranch, m, ggates)
@@ -887,6 +909,16 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> tupl
     the same way, so the values are the whole-map formulas' (within rounding
     for one channel with planes, which numpy sums as one run). The squares
     and ``g * xhat`` go into the rows the last pass then overwrites.
+
+    The output carries a ``remat``: any block of its (N*C) planes rebuilt
+    from ``xhat``, ``gamma`` and ``beta``, which the backward keeps anyway, by
+    ``_bn_affine``, the two expressions that wrote the output, so with the
+    output's bytes. An op that keeps the output for its backward (the gated
+    ``residual_relu``, std pooling) keeps that instead, and no map is kept
+    twice. Like the backward's ``gamma / sigma``, it reads ``gamma`` and
+    ``beta``'s arrays when called: nothing may write them between a forward
+    and its backward (SGD steps after the backward, and a divergence restore
+    skips it).
     """
     x = _as_tensor(x)
     x_shape = x.shape  # the backward keeps the shape, not the input
@@ -909,15 +941,20 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> tupl
     _run_spans(spans, variances)
     var = part.sum(axis=0) / m
     sigma = np.sqrt(var + eps)
-    gb = gamma.data[:, None]
+    gb, bb = gamma.data[:, None], beta.data[:, None]
 
     def affine(a, b):
         xh = xhat[a:b]
         xh /= sigma[:, None]
-        y = np.multiply(xh, gb, out=out[a:b])
-        y += beta.data[:, None]
+        _bn_affine(xh, gb, bb, out[a:b])
 
     _run_spans(spans, affine)
+    planes, dtype = xhat.reshape(n * c, -1), out.dtype  # not out: remat must not keep the map
+
+    def remat(lo, hi, into=None):
+        ch = np.arange(lo, hi) % c
+        into = np.empty((hi - lo, planes.shape[1]), dtype) if into is None else into
+        return _bn_affine(planes[lo:hi], gb[ch], bb[ch], into)
 
     def backward(g):
         # gx = gamma/sigma * (g - sum(g)/m - xhat * sum(g*xhat)/m), with no temporary beyond gx.
@@ -942,7 +979,16 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> tupl
         _run_spans(spans, grads)
         return gx.reshape(x_shape), ggamma.reshape(gamma.shape), gbeta.reshape(beta.shape)
 
-    return _make(out.reshape(x_shape), (x, gamma, beta), backward), mu, var
+    y = _make(out.reshape(x_shape), (x, gamma, beta), backward)
+    y.remat = remat
+    return y, mu, var
+
+
+def _bn_affine(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``xhat * gamma + beta`` into ``out``: the two expressions of batch norm's output, and of its ``remat``."""
+    np.multiply(xhat, gamma, out=out)
+    out += beta
+    return out
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

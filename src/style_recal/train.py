@@ -19,7 +19,7 @@ import numpy as np
 from .container import read_container, write_container
 from .data import DataError, Dataset, augment, iterate_batches
 from .models import ArchitectureConfig, GateTransform, ResNet, build_resnet
-from .tensor import Tape, Tensor, cross_entropy, settle_runtime
+from .tensor import Tape, Tensor, cross_entropy, get_default_dtype, settle_runtime, using_dtype
 
 __all__ = [
     "TrainConfig",
@@ -191,12 +191,15 @@ def _read_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
 
 
 def load_model(path: str | Path) -> ResNet:
-    """Build the architecture a checkpoint's meta records and restore its parameters and buffers."""
+    """Build the architecture a checkpoint's meta records, in the dtype of its saved parameters, and
+    restore its parameters and buffers."""
     entries, meta = _read_checkpoint(path)
     if "arch" not in meta:
         raise ValueError(f"{path}: checkpoint meta records no architecture; build the model "
                          "and restore it with load_checkpoint")
-    model = build_resnet(ArchitectureConfig.from_dict(meta["arch"]))
+    dtype = next((v.dtype for k, v in entries.items() if k.startswith("param.")), get_default_dtype())
+    with using_dtype(dtype):
+        model = build_resnet(ArchitectureConfig.from_dict(meta["arch"]))
     _apply_state(model, None, entries, str(path))
     return model
 
@@ -214,8 +217,8 @@ def load_checkpoint(path: str | Path, model: ResNet, opt: SGD | None = None,
 def _apply_state(model: ResNet, opt: SGD | None, entries: dict[str, np.ndarray], source: str) -> None:
     """Copy saved entries into the model's (and the optimizer's) arrays in place.
 
-    Nothing is written unless the key sets and shapes match exactly; otherwise a
-    ValueError names every missing, unexpected and shape-mismatched entry.
+    Nothing is written unless the key sets, shapes and dtypes match exactly; otherwise a
+    ValueError names every missing, unexpected, shape-mismatched and dtype-mismatched entry.
     ``opt.*`` entries take part only when an optimizer is given.
     """
     targets = _model_state(model, opt)
@@ -225,9 +228,11 @@ def _apply_state(model: ResNet, opt: SGD | None, entries: dict[str, np.ndarray],
     # Checkpoints written before the container kept ndim 0 store a 0-d array with shape (1,).
     mismatched = [f"{k} {saved[k].shape} vs {v.shape}" for k, v in targets.items()
                   if k in saved and np.atleast_1d(saved[k]).shape != np.atleast_1d(v).shape]
-    if missing or unexpected or mismatched:
+    retyped = [f"{k} {saved[k].dtype} vs {v.dtype}" for k, v in targets.items()
+               if k in saved and saved[k].dtype != v.dtype]
+    if missing or unexpected or mismatched or retyped:
         raise ValueError(f"{source}: state does not match the model; missing {missing}; "
-                         f"unexpected {unexpected}; shape mismatch {mismatched}")
+                         f"unexpected {unexpected}; shape mismatch {mismatched}; dtype mismatch {retyped}")
     for k, v in targets.items():
         v[...] = saved[k]
 

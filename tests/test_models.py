@@ -412,6 +412,31 @@ class TestFusedEvalForward:
                 assert np.abs(grads[name] - g).max() <= 1e-5 * np.abs(g).max(), name
 
 
+def test_recalibration_keeps_no_second_map_after_a_taped_forward():
+    """A recorded resnet20 forward at 32x32 keeps, per block, the conv inputs, BN's xhat, the ReLU outputs
+    and the block output. The branch map that recalibration pools and gates is kept by no record, as
+    batch norm's recompute stands in for it, so srm, se:8 and an mlp+BN variant keep at most 3% more
+    bytes than the net without recalibration (about 24% more when each kept that map)."""
+    mlp_bn = RecalibVariant(pooling=("avg", "std"), integration="mlp", use_bn=True, se_reduction=4)
+    rng = np.random.default_rng(33)
+    x = Tensor(rng.normal(size=(32, 3, 32, 32)).astype(np.float32))
+    labels = rng.integers(0, 10, size=32)
+    kept = {}
+    for name, recalib in [("warm-up", None), ("none", None), ("srm", "srm"), ("se:8", "se:8"), ("mlp+bn", mlp_bn)]:
+        model = build_resnet(cifar_resnet_config(20, recalib), seed=34)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                cross_entropy(model(x), labels)
+            kept[name] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(tape)
+        del tape
+    for name in ("srm", "se:8", "mlp+bn"):
+        assert kept[name] <= 1.03 * kept["none"], f"{name}: {kept[name] / kept['none']:.3f} of the plain net's bytes"
+
+
 class CountingPool(ThreadPoolExecutor):
     """The span pool, counting the span loops submitted to it."""
 

@@ -7,14 +7,17 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import LAST_FIRST, use_workers
+from conftest import LAST_FIRST, OWNED, use_workers
 from style_recal import tensor as T
 from style_recal.tensor import GradCheckError, ShapeError, Tape, Tensor, grad_check, using_dtype
 
@@ -446,7 +449,7 @@ class TestResidualRelu:
         if gated:  # the separate ops sum the gate gradient by axes, the op by einsum
             np.testing.assert_allclose(gg, want_g, rtol=1e-5)
 
-    @pytest.mark.parametrize("workers", [1, 2, 3, LAST_FIRST])
+    @pytest.mark.parametrize("workers", [1, 2, 3, LAST_FIRST, OWNED])
     @pytest.mark.parametrize("gates", [None, np.float32, np.float64], ids=["plain", "gated", "float64-gates"])
     def test_image_blocks_equal_the_whole_map(self, monkeypatch, short_switches, gates, workers):
         """One image per span on 1-3 workers or last span first: the output and the three gradients are the
@@ -509,7 +512,7 @@ class TestStylePool:
         np.testing.assert_array_equal(both[..., 0], T.style_pool(x, "max").data)
         np.testing.assert_array_equal(both[..., 1], T.style_pool(x, "avg").data)
 
-    @pytest.mark.parametrize("workers", [1, 2, 3, LAST_FIRST])
+    @pytest.mark.parametrize("workers", [1, 2, 3, LAST_FIRST, OWNED])
     @pytest.mark.parametrize("kinds", [k for r in (1, 2, 3) for k in itertools.combinations(T.POOL_KINDS, r)], ids="-".join)
     def test_row_blocks_equal_the_whole_map(self, monkeypatch, short_switches, kinds, workers):
         """One row per span on 1-3 workers or last span first: the features and the input gradient are the
@@ -527,6 +530,21 @@ class TestStylePool:
             (gx,) = backward(g)
             runs.append((out.data.tobytes(), gx.tobytes()))
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("kinds", ["avg", "max", ("avg", "max")], ids=str)
+    def test_backward_keeps_no_map_without_std(self, kinds):
+        """avg's backward reads only the gradient, and max's the argmax of each row: pooling a taped
+        intermediate leaves it to no record."""
+        leaf = Tensor(np.random.default_rng(5).normal(size=(8, 16, 16, 16)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = T.style_pool(T.mul(leaf, 2.0), kinds)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 2 and out.shape[:2] == leaf.shape[:2]
+        assert held < 0.1 * leaf.data.nbytes, f"{held / leaf.data.nbytes:.2f} maps held"
 
     @pytest.mark.parametrize("kinds", [(), ("avg", "avg"), ("median",), "median"])
     def test_bad_kinds_rejected(self, kinds):
@@ -554,7 +572,7 @@ class TestReluOracle:
         tape.backward(loss)
         np.testing.assert_array_equal(x_t.grad, np.arange(1, x.size + 1, dtype=dtype) * (x > 0))
 
-    @pytest.mark.parametrize("workers", [1, 2, 3, LAST_FIRST])
+    @pytest.mark.parametrize("workers", [1, 2, 3, LAST_FIRST, OWNED])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(6, 4, 16, 16), (13,), ()])
     def test_blocks_of_leading_indices_equal_the_whole_map(self, monkeypatch, short_switches, shape, dtype, workers):
@@ -639,7 +657,7 @@ class TestBatchNormOracle:
         self.check_forward(shape, axes)
 
     @pytest.mark.parametrize("images", [1, 3])
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3, OWNED])
     @pytest.mark.parametrize("shape,axes", POOLED_BN_SHAPES)
     def test_image_blocks_forward_bit_identical_float32(self, monkeypatch, short_switches, shape, axes, workers,
                                                         images):
@@ -675,9 +693,9 @@ class TestBatchNormOracle:
         for got, want in zip([t.grad for t in ts], backward(g)):
             assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
-    @pytest.mark.parametrize("workers,images", [(1, None), (1, 1), (2, 1), (3, 1), (1, 3), (3, 3)],
+    @pytest.mark.parametrize("workers,images", [(1, None), (1, 1), (2, 1), (3, 1), (1, 3), (3, 3), (OWNED, 1)],
                              ids=["whole", "1-worker", "2-workers", "3-workers",
-                                  "1-worker-3-images", "3-workers-3-images"])
+                                  "1-worker-3-images", "3-workers-3-images", "owned"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape,axes", POOLED_BN_SHAPES)
     def test_backward_bit_identical_to_the_whole_map_sums(self, monkeypatch, short_switches, shape, axes, dtype,
@@ -725,6 +743,74 @@ class TestBatchNormOracle:
             np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
 
 
+class TestBatchNormRemat:
+    """``batch_norm_train``'s output carries a recompute of any block of its planes, with the output's bytes,
+    and the ops that would keep the output for their backward read that instead."""
+
+    @settings(max_examples=80)
+    @given(n=st.integers(2, 5), c=st.integers(1, 6), planes=st.sampled_from([(), (1, 1), (3, 5), (8, 8)]),
+           dtype=st.sampled_from([np.float32, np.float64]), patch_bytes=st.sampled_from([1, T._PATCH_BYTES]),
+           data=st.data())
+    def test_any_planes_equal_the_output_bytes(self, n, c, planes, dtype, patch_bytes, data):
+        rng = np.random.default_rng(30)
+        x = (rng.normal(size=(n, c, *planes)) * 3 + 1).astype(dtype)
+        gamma, beta = (rng.normal(size=c).astype(dtype) for _ in range(2))
+        lo = data.draw(st.integers(0, n * c - 1))
+        hi = data.draw(st.integers(lo + 1, n * c))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "_PATCH_BYTES", patch_bytes)
+            out, _, _ = T.batch_norm_train(Tensor(x), Tensor(gamma), Tensor(beta), 1e-5)
+        want = out.data.reshape(n * c, -1)[lo:hi]
+        got = out.remat(lo, hi)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        into = np.full(want.shape, np.nan, dtype)
+        assert out.remat(lo, hi, into) is into and into.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 3, LAST_FIRST, OWNED])
+    @pytest.mark.parametrize("patch_bytes", [1, T._PATCH_BYTES])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gated_tail_and_std_pooling_give_the_kept_maps_bytes(self, monkeypatch, short_switches, dtype,
+                                                                  patch_bytes, workers):
+        """An SRM block's tail on a BN output: every gradient has the bytes it has when the ops keep the map."""
+        use_workers(monkeypatch, workers)
+        monkeypatch.setattr(T, "_PATCH_BYTES", patch_bytes)
+        rng = np.random.default_rng(31)
+        x, s, r = ((rng.normal(size=(6, 4, 8, 8)) * 3 + 1).astype(dtype) for _ in range(3))
+        gamma, beta = (rng.normal(size=4).astype(dtype) for _ in range(2))
+        w = rng.normal(size=(4, 2)).astype(dtype)
+        runs = []
+        for keep in (False, True):
+            ts = [Tensor(a, requires_grad=True) for a in (x, gamma, beta, s)]
+            with Tape() as tape:
+                y, _, _ = T.batch_norm_train(*ts[:3], 1e-5)
+                if keep:
+                    y.remat = None  # the ops then keep the map itself
+                gates = T.sigmoid(T.tsum(T.mul(T.style_pool(y, ("avg", "std")), Tensor(w)), axis=2))
+                out = T.residual_relu(y, ts[3], gates)
+                loss = T.tsum(T.mul(out, Tensor(r)))
+            tape.backward(loss)
+            runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in ts])
+        assert runs[0] == runs[1]
+
+    def test_gated_tail_and_std_pooling_keep_no_bn_output(self):
+        """Recorded, BN keeps its xhat and the tail its output; the BN output that std pooling and the gated
+        tail read is kept by neither."""
+        rng = np.random.default_rng(32)
+        x, s = (Tensor(rng.normal(size=(8, 16, 16, 16)).astype(np.float32), requires_grad=True) for _ in range(2))
+        gamma, beta = (Tensor(rng.normal(size=16).astype(np.float32), requires_grad=True) for _ in range(2))
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                y, _, _ = T.batch_norm_train(x, gamma, beta, 1e-5)
+                out = T.residual_relu(y, s, T.sigmoid(T.tsum(T.style_pool(y, ("avg", "std")), axis=2)))
+                del y
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 5 and out.shape == x.shape
+        assert held < 2.1 * x.data.nbytes, f"{held / x.data.nbytes:.2f} maps held"
+
+
 class TestChannelSumOrder:
     """``batch_norm_train`` sums its channels per image block and adds the blocks' rows over n; its values
     equal the whole-map formulas only because numpy sums a C-contiguous map over (0, 2, 3) the same way:
@@ -750,7 +836,7 @@ class TestChannelSumOrder:
 
 
 class TestTape:
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3, OWNED])
     @pytest.mark.parametrize("shape,dtypes,broadcast", [
         ((6, 4, 16, 16), (np.float32, np.float32), False), ((6, 4, 16, 16), (np.float32, np.float64), False),
         ((6, 4, 16, 16), (np.float32, np.float32), True), ((300,), (np.float64, np.float64), False),

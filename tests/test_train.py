@@ -11,7 +11,7 @@ from style_recal.container import read_container, write_container
 from style_recal.data import DataError, Dataset, SynthStyleSpec, synth_style
 from style_recal.models import ArchitectureConfig, StageSpec, build_resnet, cifar_resnet_config, named_config
 from style_recal.recalib import RecalibVariant
-from style_recal.tensor import Parameter, ShapeError, Tape, Tensor, cross_entropy, settle_runtime
+from style_recal.tensor import Parameter, ShapeError, Tape, Tensor, cross_entropy, settle_runtime, using_dtype
 from style_recal.train import (
     SGD,
     TrainConfig,
@@ -361,6 +361,21 @@ class TestTrainLoop:
         twin = build_resnet(tiny_cfg(), seed=0)
         with pytest.raises(ValueError, match=r"missing \['opt.classifier.bias'"):
             load_checkpoint(tmp_path / "c.bin", twin, SGD(dict(twin.named_parameters())))
+
+    def test_float64_checkpoint_loads_as_float64_and_not_into_float32(self, tmp_path):
+        with using_dtype(np.float64):
+            model = build_resnet(tiny_cfg(), seed=0)
+        train(model, tiny_data(), TrainConfig(steps=2, batch_size=8, lr=0.05, seed=0, log_every=2), out_dir=tmp_path)
+        save_checkpoint(tmp_path / "c.bin", model, None, 2, "h")
+        loaded = load_model(tmp_path / "c.bin")
+        for (name, p), (_, q) in zip(model.named_parameters(), loaded.named_parameters()):
+            assert q.data.dtype == np.float64 and q.data.tobytes() == p.data.tobytes(), name
+        narrow = build_resnet(tiny_cfg(), seed=1)
+        before = {name: p.data.copy() for name, p in narrow.named_parameters()}
+        with pytest.raises(ValueError, match=r"dtype mismatch \['param.stem_conv.weight float64 vs float32'"):
+            load_checkpoint(tmp_path / "c.bin", narrow)
+        for name, p in narrow.named_parameters():  # nothing is written on a mismatch
+            np.testing.assert_array_equal(p.data, before[name])
 
     def test_evaluate_counts_correctly(self):
         model = build_resnet(tiny_cfg(), seed=0)
